@@ -1,25 +1,23 @@
 //! The `Session` contract suite.
 //!
-//! The unified driver re-implements every legacy entry point's loop
-//! over shared per-phase primitives; this suite pins the two surfaces
-//! together: for every `Algorithm` variant, the deprecated shim and the
-//! equivalent `Session` run must be **bit-identical** — the matching,
-//! the label, the oracle-check count, and the *full* `NetStats`
-//! (rounds, messages, bits, message sizes, plane gauges, and every
-//! per-round trace row). It also covers the observer plane (mid-run
-//! snapshots, convergence curves, round budgets), warm starts, rewire
-//! repair, and Honest termination across all variants.
-
-#![allow(deprecated)] // the whole point: shims vs. the session
+//! `Session` is the one driver of every algorithm's phase loop. This
+//! suite pins its output as goldens: for every `Algorithm` variant the
+//! label, the oracle-check count, the matching, and a digest of the
+//! *full* `NetStats` (rounds, messages, bits, message sizes, plane
+//! gauges, and every per-round trace row) must reproduce bit-for-bit,
+//! under both termination modes and both executors. The goldens were
+//! captured while the legacy free-function entry points were still
+//! asserted bit-identical to `Session`. The suite also covers the
+//! observer plane (mid-run snapshots, convergence curves, round
+//! budgets), warm starts, rewire repair, and Honest termination across
+//! all variants.
 
 use distributed_matching::dgraph::generators::random::{bipartite_gnp, gnp};
 use distributed_matching::dgraph::generators::weights::{apply_weights, WeightModel};
-use distributed_matching::dgraph::{Graph, Matching};
+use distributed_matching::dgraph::Graph;
 use distributed_matching::dmatch::weighted::MwmBox;
-use distributed_matching::dmatch::{
-    generic, israeli_itai, runner, Algorithm, Phase, RewirePatch, Session, TerminationMode,
-};
-use distributed_matching::simnet::ExecCfg;
+use distributed_matching::dmatch::{Algorithm, Phase, RewirePatch, Session, TerminationMode};
+use distributed_matching::simnet::{ExecCfg, NetStats, RoundTrace};
 
 /// Every `Algorithm` variant (both termination-relevant `Weighted`
 /// boxes included; `Bipartite` needs the sides of `bipartite_case`).
@@ -96,72 +94,313 @@ fn session_run(
     b.build().run_to_completion()
 }
 
-/// Shim vs. session: bit-identity of matching + full NetStats + name +
-/// oracle checks, for every algorithm variant, in both termination
-/// modes and under both executors.
-#[test]
-fn shim_and_session_are_bit_identical_for_every_algorithm() {
-    for alg in all_algorithms() {
-        for seed in [3u64, 17] {
-            let (g, sides) = case(&alg, seed);
-            let sides_ref = sides.as_deref();
-            for termination in [TerminationMode::Oracle, TerminationMode::Honest] {
-                for cfg in [ExecCfg::sequential(), ExecCfg::parallel(4)] {
-                    let shim = runner::run_cfg(&g, sides_ref, alg, seed, termination, cfg);
-                    let sess = session_run(&g, sides_ref, alg, seed, termination, cfg);
-                    assert_eq!(shim.name, sess.name, "{alg}: label diverged");
-                    assert_eq!(
-                        shim.matching, sess.matching,
-                        "{alg}/{termination}: matching diverged"
-                    );
-                    assert_eq!(
-                        shim.stats, sess.stats,
-                        "{alg}/{termination}: NetStats diverged (incl. per-round rows)"
-                    );
-                    assert_eq!(
-                        shim.oracle_checks, sess.oracle_checks,
-                        "{alg}/{termination}: oracle accounting diverged"
-                    );
-                }
-            }
+/// FNV-1a over every `NetStats` field except the wall-clock `timings`
+/// registry, every per-round row included. The exhaustive
+/// destructuring makes a new field a compile error here, not a silent
+/// hole in the goldens.
+fn stats_digest(s: &NetStats) -> u64 {
+    let NetStats {
+        rounds,
+        messages,
+        bits,
+        max_msg_bits,
+        peak_inbox,
+        plane_allocs,
+        node_steps,
+        sched_overhead,
+        dropped,
+        delayed,
+        deferred_bits,
+        crashed,
+        timings: _,
+        per_round,
+    } = s;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for &w in [
+        rounds,
+        messages,
+        bits,
+        max_msg_bits,
+        peak_inbox,
+        plane_allocs,
+        node_steps,
+        sched_overhead,
+        dropped,
+        delayed,
+        deferred_bits,
+        crashed,
+    ] {
+        word(w);
+    }
+    word(per_round.len() as u64);
+    for RoundTrace {
+        messages,
+        peak_inbox,
+        plane_allocs,
+        active,
+        sched_overhead,
+    } in per_round
+    {
+        for &w in [messages, peak_inbox, plane_allocs, active, sched_overhead] {
+            word(w);
         }
     }
+    h
 }
 
-/// Warm starts route through the same code as the `_from` shims.
+/// Pinned output of one `all_algorithms()` × seed case: the label, the
+/// oracle-check count, the matched edge ids, and the [`stats_digest`]
+/// under Oracle and under Honest termination.
+struct Golden {
+    name: &'static str,
+    seed: u64,
+    oracle_checks: u64,
+    edges: &'static [u32],
+    oracle_digest: u64,
+    honest_digest: u64,
+}
+
+/// In `all_algorithms()` × seeds {3, 17} order.
+const GOLDENS: [Golden; 16] = [
+    Golden {
+        name: "israeli-itai",
+        seed: 3,
+        oracle_checks: 5,
+        edges: &[0, 13, 31, 8, 27, 25, 53, 18, 46, 51],
+        oracle_digest: 0x1fd282ef2c49ad6f,
+        honest_digest: 0xdebfe815bfd01c85,
+    },
+    Golden {
+        name: "israeli-itai",
+        seed: 17,
+        oracle_checks: 4,
+        edges: &[0, 40, 47, 13, 7, 9, 23, 36, 56, 30],
+        oracle_digest: 0x2e1d9fec2bbeeacd,
+        honest_digest: 0x9f7a4e6ad930adcb,
+    },
+    Golden {
+        name: "generic(k=2)",
+        seed: 3,
+        oracle_checks: 3,
+        edges: &[7, 36, 22, 31, 26, 15, 25, 53, 18, 46, 50],
+        oracle_digest: 0xa99e9e47f8f4b14d,
+        honest_digest: 0x9ceae1700f61a640,
+    },
+    Golden {
+        name: "generic(k=2)",
+        seed: 17,
+        oracle_checks: 2,
+        edges: &[2, 39, 4, 47, 33, 15, 14, 22, 26, 56],
+        oracle_digest: 0xc9f76dfc9bf589ca,
+        honest_digest: 0x37b54575d277481e,
+    },
+    Golden {
+        name: "generic(k=3)",
+        seed: 3,
+        oracle_checks: 3,
+        edges: &[7, 36, 22, 31, 26, 15, 25, 53, 18, 46, 50],
+        oracle_digest: 0xa91ba9e4c2200a40,
+        honest_digest: 0xdbafc14d85613912,
+    },
+    Golden {
+        name: "generic(k=3)",
+        seed: 17,
+        oracle_checks: 3,
+        edges: &[2, 39, 16, 47, 10, 33, 15, 14, 22, 56, 30],
+        oracle_digest: 0xe6734812dc95bc32,
+        honest_digest: 0xcc721d8dea422b32,
+    },
+    Golden {
+        name: "bipartite(k=2)",
+        seed: 3,
+        oracle_checks: 4,
+        edges: &[0, 6, 11, 13, 18, 20, 22, 25, 28, 30],
+        oracle_digest: 0xb2a2c2cdfc134c8b,
+        honest_digest: 0x95c2fa06ea0602f0,
+    },
+    Golden {
+        name: "bipartite(k=2)",
+        seed: 17,
+        oracle_checks: 4,
+        edges: &[4, 7, 10, 14, 15, 18, 24, 28, 33, 37],
+        oracle_digest: 0x8e9a49a48e511c17,
+        honest_digest: 0x174ac1dbc18d0317,
+    },
+    Golden {
+        name: "general(k=2)",
+        seed: 3,
+        oracle_checks: 11,
+        edges: &[3, 23, 22, 31, 8, 49, 21, 29, 40, 55],
+        oracle_digest: 0xee15920fac8bf3af,
+        honest_digest: 0x1db57ca02561e46d,
+    },
+    Golden {
+        name: "general(k=2)",
+        seed: 17,
+        oracle_checks: 16,
+        edges: &[0, 12, 53, 7, 9, 22, 43, 29, 50, 37],
+        oracle_digest: 0x77905ff538648780,
+        honest_digest: 0x97c4fc52ecf0bc83,
+    },
+    Golden {
+        name: "weighted(ε=0.25, box=SeqClass)",
+        seed: 3,
+        oracle_checks: 13,
+        edges: &[20, 4, 13, 44, 8, 25, 28, 32, 54, 52],
+        oracle_digest: 0x05e749405549dce2,
+        honest_digest: 0x359391f7c244f043,
+    },
+    Golden {
+        name: "weighted(ε=0.25, box=SeqClass)",
+        seed: 17,
+        oracle_checks: 13,
+        edges: &[0, 1, 25, 10, 33, 15, 22, 28, 51, 58],
+        oracle_digest: 0xa55268873e15c485,
+        honest_digest: 0x5201645e580f9a3e,
+    },
+    Golden {
+        name: "weighted(ε=0.25, box=ParClass)",
+        seed: 3,
+        oracle_checks: 25,
+        edges: &[35, 4, 13, 44, 8, 25, 28, 32, 54, 50],
+        oracle_digest: 0xded959550cef0d0d,
+        honest_digest: 0x73b9eb5cd5899e2b,
+    },
+    Golden {
+        name: "weighted(ε=0.25, box=ParClass)",
+        seed: 17,
+        oracle_checks: 25,
+        edges: &[2, 11, 1, 10, 33, 15, 42, 22, 29, 56, 51],
+        oracle_digest: 0x2edcbd77311cf0d0,
+        honest_digest: 0xd9ef2672d5567465,
+    },
+    Golden {
+        name: "delta-mwm(LocalDominant)",
+        seed: 3,
+        oracle_checks: 1,
+        edges: &[35, 4, 13, 44, 8, 25, 28, 32, 54, 50],
+        oracle_digest: 0xf2c31fa05463b143,
+        honest_digest: 0x1c165550257b29ba,
+    },
+    Golden {
+        name: "delta-mwm(LocalDominant)",
+        seed: 17,
+        oracle_checks: 1,
+        edges: &[39, 1, 25, 10, 18, 15, 22, 28, 51, 57],
+        oracle_digest: 0x51190c0d6489b0cc,
+        honest_digest: 0x8333df259c650b82,
+    },
+];
+
+/// Every `Algorithm` variant, both seeds, both termination modes and
+/// both executors reproduce the pinned goldens bit-for-bit (label,
+/// oracle checks, matching, and the full `NetStats` incl. every
+/// per-round row). The values were captured from the legacy free
+/// functions and `Session` while the two were asserted bit-identical,
+/// so they pin the original loops' behaviour on the one driver left.
+#[test]
+fn shim_and_session_are_bit_identical_for_every_algorithm() {
+    let cases = all_algorithms()
+        .into_iter()
+        .flat_map(|alg| [3u64, 17].map(|seed| (alg, seed)));
+    let mut checked = 0;
+    for ((alg, seed), golden) in cases.zip(&GOLDENS) {
+        assert_eq!(golden.seed, seed, "golden table out of order");
+        let (g, sides) = case(&alg, seed);
+        let sides_ref = sides.as_deref();
+        for termination in [TerminationMode::Oracle, TerminationMode::Honest] {
+            let digest = match termination {
+                TerminationMode::Oracle => golden.oracle_digest,
+                TerminationMode::Honest => golden.honest_digest,
+            };
+            for cfg in [ExecCfg::sequential(), ExecCfg::parallel(4)] {
+                let r = session_run(&g, sides_ref, alg, seed, termination, cfg);
+                assert_eq!(r.name, golden.name, "{alg}: label diverged");
+                assert_eq!(
+                    r.matching.edge_ids(&g),
+                    golden.edges,
+                    "{alg}/{termination}/seed {seed}: matching diverged"
+                );
+                assert_eq!(
+                    stats_digest(&r.stats),
+                    digest,
+                    "{alg}/{termination}/seed {seed}: NetStats diverged (incl. per-round rows)"
+                );
+                assert_eq!(
+                    r.oracle_checks, golden.oracle_checks,
+                    "{alg}/{termination}/seed {seed}: oracle accounting diverged"
+                );
+            }
+        }
+        checked += 1;
+    }
+    assert_eq!(checked, GOLDENS.len());
+}
+
+/// Warm starts (Generic and Israeli–Itai) reproduce the goldens pinned
+/// from the legacy warm-start entry points.
 #[test]
 fn warm_start_matches_from_shims() {
     let g = gnp(26, 0.15, 5);
     let init = distributed_matching::dgraph::greedy::greedy_maximal(&g);
+    let warm = |alg: Algorithm, cfg: ExecCfg| {
+        Session::on(&g)
+            .algorithm(alg)
+            .warm_start(&init)
+            .seed(7)
+            .exec(cfg)
+            .build()
+            .run_to_completion()
+    };
+    let edges = [0, 2, 29, 9, 5, 8, 22, 18, 14, 34, 44, 53, 48];
 
-    let shim = generic::run_from_cfg(&g, &init, 2, 7, ExecCfg::sequential());
-    let sess = Session::on(&g)
-        .algorithm(Algorithm::Generic { k: 2 })
-        .warm_start(&init)
-        .seed(7)
-        .build()
-        .run_to_completion();
-    assert_eq!(shim.matching, sess.matching);
-    assert_eq!(shim.stats, sess.stats);
+    let sess = warm(Algorithm::Generic { k: 2 }, ExecCfg::sequential());
+    assert_eq!(sess.matching.edge_ids(&g), edges);
+    assert_eq!(stats_digest(&sess.stats), 0x252effe5abdf6d2b);
 
-    let (m_shim, s_shim) =
-        israeli_itai::maximal_matching_from_cfg(&g, &init, 7, ExecCfg::default());
-    let sess = Session::on(&g)
-        .algorithm(Algorithm::IsraeliItai)
-        .warm_start(&init)
-        .seed(7)
-        .build()
-        .run_to_completion();
-    assert_eq!(m_shim, sess.matching);
-    assert_eq!(s_shim, sess.stats);
+    let sess = warm(Algorithm::IsraeliItai, ExecCfg::default());
+    assert_eq!(sess.matching.edge_ids(&g), edges);
+    assert_eq!(stats_digest(&sess.stats), 0x6925a4e50647f083);
 }
 
-/// `resume_after_rewire` reproduces the legacy damage-ball repair:
-/// same matching, same repair-phase statistics (the session's stats
-/// delta across the rewire equals the standalone `repair_cfg` run).
+/// `resume_after_rewire` reproduces the legacy damage-ball repair: the
+/// repaired matching and the repair epoch's statistics (the session's
+/// stats delta across the rewire) equal the goldens pinned from the
+/// standalone repair entry point.
 #[test]
 fn rewire_repair_matches_repair_shim() {
-    for seed in [1u64, 8] {
+    struct Repair {
+        seed: u64,
+        edges: &'static [u32],
+        rounds: u64,
+        messages: u64,
+        bits: u64,
+    }
+    let goldens = [
+        Repair {
+            seed: 1,
+            edges: &[5, 35, 25, 19, 6, 3, 18, 59, 45, 31, 40, 55, 34, 52, 50],
+            rounds: 15,
+            messages: 884,
+            bits: 711005,
+        },
+        Repair {
+            seed: 8,
+            edges: &[
+                13, 54, 36, 6, 8, 2, 33, 29, 46, 17, 34, 19, 16, 42, 35, 52, 49,
+            ],
+            rounds: 15,
+            messages: 753,
+            bits: 595074,
+        },
+    ];
+    for golden in &goldens {
+        let seed = golden.seed;
         let g = gnp(36, 0.09, 60 + seed);
         let k = 2;
         let mut sess = Session::on(&g)
@@ -169,33 +408,20 @@ fn rewire_repair_matches_repair_shim() {
             .seed(seed)
             .build();
         let boot = sess.run_to_completion();
-        let Some(&e) = boot.matching.edge_ids(&g).first() else {
-            continue;
-        };
+        let e = boot.matching.edge_ids(&g)[0];
         let (a, b) = g.endpoints(e);
         let (g2, _) = g.edge_subgraph(|x| x != e);
-        // Legacy path: surviving matching re-built by hand, repair_cfg.
-        let mut survived = Matching::new(g2.n());
-        for &eid in &boot.matching.edge_ids(&g) {
-            if eid != e {
-                let (u, v) = g.endpoints(eid);
-                survived.add(&g2, g2.edge_between(u, v).expect("surviving edge"));
-            }
-        }
-        // The engine convention: epoch 1 seeds as seed + 1.
-        let shim = generic::repair_cfg(&g2, &survived, &[a, b], k, seed + 1, ExecCfg::default());
-        // Session path: stats delta across the resumed epoch.
         let before = sess.stats().clone();
         sess.resume_after_rewire(RewirePatch::new(g2.clone(), vec![a, b]));
         let after = sess.run_to_completion();
-        assert_eq!(shim.matching, after.matching, "seed {seed}");
+        assert_eq!(after.matching.edge_ids(&g2), golden.edges, "seed {seed}");
         assert_eq!(
-            shim.stats.rounds,
             after.stats.rounds - before.rounds,
+            golden.rounds,
             "seed {seed}: repair rounds diverged"
         );
-        assert_eq!(shim.stats.messages, after.stats.messages - before.messages);
-        assert_eq!(shim.stats.bits, after.stats.bits - before.bits);
+        assert_eq!(after.stats.messages - before.messages, golden.messages);
+        assert_eq!(after.stats.bits - before.bits, golden.bits);
     }
 }
 
@@ -285,9 +511,9 @@ fn honest_mode_charges_every_algorithm() {
     }
 }
 
-/// Satellite: the ParClass box (ex `run_parallel{,_cfg}`) routes the
-/// caller's `ExecCfg` into every per-class network — results are
-/// bit-identical across worker-thread counts and scheduler modes.
+/// Satellite: the ParClass box routes the caller's `ExecCfg` into every
+/// per-class network — results are bit-identical across worker-thread
+/// counts and scheduler modes, and match the pinned golden.
 #[test]
 fn parclass_box_threads_exec_cfg() {
     let g = apply_weights(&gnp(24, 0.2, 13), WeightModel::Exponential(1.5), 14);
@@ -308,15 +534,12 @@ fn parclass_box_threads_exec_cfg() {
         assert_eq!(base.stats.messages, other.stats.messages);
         assert_eq!(base.stats.rounds, other.stats.rounds);
     }
-    // And the deprecated free function is now a thin shim over the very
-    // same path the DeltaMwm session drives (seed = session epoch seed).
-    let (m, s) = distributed_matching::dmatch::weighted::classes::run_parallel_cfg(
-        &g,
-        6,
-        ExecCfg::sequential(),
-    );
-    assert_eq!(m, base.matching);
-    assert_eq!(s, base.stats);
+    // The pinned output of the ParClass box at this seed (captured from
+    // the legacy free function, which shared this path).
+    assert_eq!(base.name, "delta-mwm(ParClass)");
+    assert_eq!(base.oracle_checks, 1);
+    assert_eq!(base.matching.edge_ids(&g), [27, 0, 21, 58, 34, 54, 45]);
+    assert_eq!(stats_digest(&base.stats), 0xcb1b6d6293daa0a2);
 }
 
 /// The cached blossom optimum: repeated ratio queries agree, and the
