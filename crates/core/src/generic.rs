@@ -73,7 +73,7 @@ struct GatherNode {
     /// sparse scheduler a repair's gathering rounds cost O(|ball|),
     /// not O(n). (Their merged views are never consulted — every
     /// augmenting path, and every view the phase inspects, lives
-    /// inside the region by the `repair` precondition.)
+    /// inside the region by [`phase_step`]'s region precondition.)
     participating: bool,
 }
 
@@ -112,31 +112,11 @@ impl Protocol for GatherNode {
 }
 
 /// Run the ball-gathering phase: after it, node `v`'s view contains all
-/// edges/free-flags whose origin is within distance `rounds - 1`.
-pub(crate) fn gather_balls(
-    g: &Graph,
-    m: &Matching,
-    radius: usize,
-    seed: u64,
-) -> (Vec<BTreeSet<ViewItem>>, NetStats) {
-    gather_balls_cfg(g, m, radius, seed, ExecCfg::default())
-}
-
-/// [`gather_balls`] under explicit execution knobs.
-pub(crate) fn gather_balls_cfg(
-    g: &Graph,
-    m: &Matching,
-    radius: usize,
-    seed: u64,
-    cfg: ExecCfg,
-) -> (Vec<BTreeSet<ViewItem>>, NetStats) {
-    gather_balls_region(g, m, radius, seed, cfg, None)
-}
-
-/// Ball gathering, optionally restricted to a *region*: when
-/// `region[v]` is false, node `v` never sends (its knowledge stays
-/// local and does not propagate). Incremental repair uses this to keep
-/// gathering traffic inside the damage neighborhood.
+/// edges/free-flags whose origin is within distance `radius`.
+/// Optionally restricted to a *region*: when `region[v]` is false, node
+/// `v` never sends (its knowledge stays local and does not propagate).
+/// Incremental repair uses this to keep gathering traffic inside the
+/// damage neighborhood.
 pub(crate) fn gather_balls_region(
     g: &Graph,
     m: &Matching,
@@ -326,124 +306,6 @@ pub struct PhaseLog {
     pub matching_size: usize,
 }
 
-/// Output of [`run`].
-pub struct GenericRun {
-    /// The final matching — a `(1 - 1/(k+1))`-MCM.
-    pub matching: Matching,
-    /// Combined network statistics (gathering measured, MIS/augment
-    /// charged per Lemma 3.3).
-    pub stats: NetStats,
-    /// Per-phase details.
-    pub phases: Vec<PhaseLog>,
-}
-
-/// Run Algorithm 1 with parameter `k` (phases `ℓ = 1, 3, …, 2k-1`),
-/// producing a `(1 - 1/(k+1))`-approximate maximum cardinality
-/// matching of `g`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dmatch::session::Session::on(g).algorithm(Algorithm::Generic { k })` (see the \
-            migration table in the crate docs)"
-)]
-#[allow(deprecated)]
-pub fn run(g: &Graph, k: usize, seed: u64) -> GenericRun {
-    run_cfg(g, k, seed, ExecCfg::default())
-}
-
-/// [`run`] under explicit execution knobs (threads / fault injection
-/// apply to the measured ball-gathering phases).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::Generic { k }).exec(cfg)`"
-)]
-pub fn run_cfg(g: &Graph, k: usize, seed: u64, cfg: ExecCfg) -> GenericRun {
-    run_inner(g, &Matching::new(g.n()), k, seed, cfg, None)
-}
-
-/// Warm-start entry point: run the phases `ℓ = 1, 3, …, 2k-1` starting
-/// from `initial` instead of the empty matching.
-///
-/// Correctness is unchanged — phase `ℓ` applies a maximal set of
-/// disjoint augmenting paths of length `ℓ`, and augmentation never
-/// frees a matched vertex, so after the last phase no augmenting path
-/// of length `≤ 2k-1` survives and the result is a
-/// `(1 - 1/(k+1))`-MCM regardless of the starting matching. A good
-/// warm start (e.g. the surviving matching after churn) leaves far
-/// fewer augmenting paths, which shrinks the conflict graphs and the
-/// charged MIS/augmentation traffic.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::Generic { k }).warm_start(initial)`"
-)]
-#[allow(deprecated)]
-pub fn run_from(g: &Graph, initial: &Matching, k: usize, seed: u64) -> GenericRun {
-    run_from_cfg(g, initial, k, seed, ExecCfg::default())
-}
-
-/// [`run_from`] under explicit execution knobs.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::Generic { k }).warm_start(initial).exec(cfg)`"
-)]
-pub fn run_from_cfg(
-    g: &Graph,
-    initial: &Matching,
-    k: usize,
-    seed: u64,
-    cfg: ExecCfg,
-) -> GenericRun {
-    run_inner(g, initial, k, seed, cfg, None)
-}
-
-/// Incremental repair after a churn batch: warm-start from the
-/// surviving matching `initial` and keep all gathering traffic inside
-/// the ball `B(damage, 4k+2)`.
-///
-/// `damage` is the set of vertices whose incident structure changed:
-/// endpoints of inserted edges and endpoints of *matched* edges that
-/// were removed (removing an unmatched edge only destroys augmenting
-/// paths). Every augmenting path of length `≤ 2k-1` in the new
-/// instance either survived from the previous epoch — impossible if
-/// the previous matching met the bound — or touches `damage`; all
-/// vertices such a path visits, and all vertices whose matched status
-/// later changes during the phases, stay within distance `O(k)` of
-/// `damage`, so restricting the flooding region loses nothing
-/// (debug-asserted). With no damage the previous guarantee still holds
-/// and the repair is free.
-#[deprecated(
-    since = "0.1.0",
-    note = "complete a Generic session, then `Session::resume_after_rewire(RewirePatch::new(g, damage))`"
-)]
-#[allow(deprecated)]
-pub fn repair(g: &Graph, initial: &Matching, damage: &[NodeId], k: usize, seed: u64) -> GenericRun {
-    repair_cfg(g, initial, damage, k, seed, ExecCfg::default())
-}
-
-/// [`repair`] under explicit execution knobs.
-#[deprecated(
-    since = "0.1.0",
-    note = "complete a Generic session, then `Session::resume_after_rewire(RewirePatch::new(g, damage))`"
-)]
-pub fn repair_cfg(
-    g: &Graph,
-    initial: &Matching,
-    damage: &[NodeId],
-    k: usize,
-    seed: u64,
-    cfg: ExecCfg,
-) -> GenericRun {
-    if damage.is_empty() {
-        return GenericRun {
-            matching: initial.clone(),
-            stats: NetStats::default(),
-            phases: Vec::new(),
-        };
-    }
-    let damage = normalize_damage(damage);
-    let region = ball(g, &damage, 4 * k + 2);
-    run_inner(g, initial, k, seed, cfg, Some(region))
-}
-
 /// Sort + dedupe a damage list. Callers hand us raw endpoint dumps
 /// (`RewirePatch` explicitly allows duplicates), and a hub that lost
 /// ten edges would otherwise seed the BFS ten times and inflate every
@@ -456,10 +318,9 @@ pub(crate) fn normalize_damage(damage: &[NodeId]) -> Vec<NodeId> {
     d
 }
 
-/// `region[v]` = v is within `radius` hops of a seed. Shared with the
-/// session driver ([`crate::session::Session::resume_after_rewire`]),
-/// which restricts repair gathering to `B(damage, 4k+2)` exactly like
-/// [`repair_cfg`].
+/// `region[v]` = v is within `radius` hops of a seed. The session
+/// driver ([`crate::session::Session::resume_after_rewire`]) restricts
+/// repair gathering to the ball `B(damage, 4k+2)` built here.
 pub(crate) fn ball(g: &Graph, seeds: &[NodeId], radius: usize) -> Vec<bool> {
     let mut dist = vec![usize::MAX; g.n()];
     let mut queue = std::collections::VecDeque::new();
@@ -485,10 +346,26 @@ pub(crate) fn ball(g: &Graph, seeds: &[NodeId], radius: usize) -> Vec<bool> {
 }
 
 /// One phase of Algorithm 1 (`ℓ = 2·phase_idx + 1`): ball gathering,
-/// conflict-graph MIS, augmentation — the single source of truth shared
-/// by [`run_from_cfg`]'s loop and the stepwise `dmatch::session` driver.
-/// MIS priorities are keyed by `(seed, ell, iteration, path key)` (see
-/// [`path_priority`]), so the phase carries no RNG state between calls.
+/// conflict-graph MIS, augmentation — the phase the
+/// `dmatch::session` Generic driver steps. MIS priorities are keyed by
+/// `(seed, ell, iteration, path key)` (see [`path_priority`]), so the
+/// phase carries no RNG state between calls.
+///
+/// Any valid starting matching `m` works: phase `ℓ` applies a maximal
+/// set of disjoint augmenting paths of length `ℓ`, and augmentation
+/// never frees a matched vertex, so after phases `0..k` no augmenting
+/// path of length `≤ 2k-1` survives and the result is a
+/// `(1 - 1/(k+1))`-MCM regardless of the warm start.
+///
+/// **Region precondition.** With `region = Some(B(damage, 4k+2))` all
+/// gathering traffic stays inside the ball. `damage` is the set of
+/// vertices whose incident structure changed in a churn batch:
+/// endpoints of inserted edges and endpoints of *matched* edges that
+/// were removed (removing an unmatched edge only destroys augmenting
+/// paths). If `m` had no augmenting path of length `≤ 2k-1` before the
+/// batch, every such path now touches `damage`, and all vertices it
+/// visits stay within distance `O(k)` of `damage` — so restricting the
+/// flooding loses nothing. A path outside the region panics.
 pub(crate) fn phase_step(
     g: &Graph,
     m: &mut Matching,
@@ -512,11 +389,11 @@ pub(crate) fn phase_step(
     let paths = enumerate_augmenting_paths(g, m, ell);
     if let Some(region) = region {
         // Incremental runs: every augmenting path must live inside
-        // the damage ball (see `repair`). A path outside it means
-        // the warm start violated the precondition (it still had
-        // short augmenting paths away from the damage) — silently
-        // skipping such paths would return a matching below the
-        // promised bound, so fail loudly instead.
+        // the damage ball (the region precondition above). A path
+        // outside it means the warm start violated the precondition
+        // (it still had short augmenting paths away from the damage)
+        // — silently skipping such paths would return a matching
+        // below the promised bound, so fail loudly instead.
         assert!(
             paths.iter().all(|p| p.iter().all(|&v| region[v as usize])),
             "phase {ell}: an augmenting path escaped the damage ball — \
@@ -578,45 +455,11 @@ pub(crate) fn phase_step(
     }
 }
 
-fn run_inner(
-    g: &Graph,
-    initial: &Matching,
-    k: usize,
-    seed: u64,
-    cfg: ExecCfg,
-    region: Option<Vec<bool>>,
-) -> GenericRun {
-    assert!(k >= 1, "k must be positive");
-    let mut m = initial.clone();
-    debug_assert!(m.validate(g).is_ok(), "warm start must be a valid matching");
-    let mut stats = NetStats::default();
-    let mut phases = Vec::new();
-
-    for phase_idx in 0..k {
-        if g.n() == 0 {
-            break;
-        }
-        phases.push(phase_step(
-            g,
-            &mut m,
-            phase_idx,
-            seed,
-            cfg,
-            region.as_deref(),
-            &mut stats,
-        ));
-    }
-    GenericRun {
-        matching: m,
-        stats,
-        phases,
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay covered until they are removed
 mod tests {
     use super::*;
+    use crate::session::{RewirePatch, Session};
+    use crate::{Algorithm, RunReport};
     use dgraph::generators::random::{bipartite_gnp, gnp};
     use dgraph::generators::structured::{cycle, p4_chain, path};
 
@@ -627,6 +470,36 @@ mod tests {
         } else {
             m.size() as f64 / opt as f64
         }
+    }
+
+    fn session(g: &Graph, k: usize, seed: u64) -> Session {
+        Session::on(g)
+            .algorithm(Algorithm::Generic { k })
+            .seed(seed)
+            .build()
+    }
+
+    fn run(g: &Graph, k: usize, seed: u64) -> RunReport {
+        session(g, k, seed).run_to_completion()
+    }
+
+    /// Complete a Generic session on `g`, delete its first matched edge
+    /// `(a, b)` and hand the session the post-churn graph with damage
+    /// `damage(a, b)`, ready to run the repair epoch. `None` when the
+    /// matching is empty.
+    fn churned(
+        g: &Graph,
+        k: usize,
+        seed: u64,
+        damage: impl Fn(NodeId, NodeId) -> Vec<NodeId>,
+    ) -> Option<(Graph, Session)> {
+        let mut s = session(g, k, seed);
+        let boot = s.run_to_completion();
+        let &e = boot.matching.edge_ids(g).first()?;
+        let (a, b) = g.endpoints(e);
+        let (g2, _) = g.edge_subgraph(|x| x != e);
+        s.resume_after_rewire(RewirePatch::new(g2.clone(), damage(a, b)));
+        Some((g2, s))
     }
 
     #[test]
@@ -702,13 +575,30 @@ mod tests {
     #[test]
     fn phase_log_is_coherent() {
         let g = gnp(30, 0.1, 9);
-        let r = run(&g, 3, 4);
-        assert_eq!(r.phases.len(), 3);
-        assert_eq!(r.phases[0].ell, 1);
-        assert_eq!(r.phases[2].ell, 5);
-        assert_eq!(r.phases.last().unwrap().matching_size, r.matching.size());
-        for p in &r.phases {
-            assert!(p.applied <= p.conflict_nodes);
+        let mut s = session(&g, 3, 4);
+        let r = s.run_to_completion();
+        // The session's phase log is the primitive's, phase by phase.
+        let mut m = Matching::new(g.n());
+        let mut stats = NetStats::default();
+        let logs: Vec<PhaseLog> = (0..3)
+            .map(|i| phase_step(&g, &mut m, i, 4, ExecCfg::default(), None, &mut stats))
+            .collect();
+        let phases = s.phase_log();
+        assert_eq!(phases.len(), 3);
+        assert_eq!(phases[0].ell, 1);
+        assert_eq!(phases[2].ell, 5);
+        assert_eq!(phases.last().unwrap().matching_size, r.matching.size());
+        for (p, log) in phases.iter().zip(&logs) {
+            assert_eq!(
+                (p.ell, p.applied, p.iterations, p.matching_size),
+                (
+                    log.ell,
+                    log.applied as u64,
+                    log.mis_iterations,
+                    log.matching_size
+                )
+            );
+            assert!(log.applied <= log.conflict_nodes);
         }
     }
 
@@ -735,7 +625,12 @@ mod tests {
             let g = gnp(28, 0.14, 70 + seed);
             let init = dgraph::greedy::greedy_maximal(&g);
             for k in 1..=3 {
-                let r = run_from(&g, &init, k, seed);
+                let r = Session::on(&g)
+                    .algorithm(Algorithm::Generic { k })
+                    .warm_start(&init)
+                    .seed(seed)
+                    .build()
+                    .run_to_completion();
                 assert!(r.matching.validate(&g).is_ok());
                 assert!(
                     r.matching.size() >= init.size(),
@@ -758,22 +653,16 @@ mod tests {
         // stats, same phase logs.
         let g = gnp(40, 0.08, 91);
         let k = 2;
-        let full = run(&g, k, 7);
-        let &e = full.matching.edge_ids(&g).first().expect("nonempty");
-        let (a, b) = g.endpoints(e);
-        let (g2, _) = g.edge_subgraph(|x| x != e);
-        let mut m = Matching::new(g2.n());
-        for &eid in &full.matching.edge_ids(&g) {
-            if eid != e {
-                let (u, v) = g.endpoints(eid);
-                m.add(&g2, g2.edge_between(u, v).expect("surviving edge"));
-            }
-        }
-        let clean = repair(&g2, &m, &[a, b], k, 8);
-        let dup = repair(&g2, &m, &[b, b, a, b, a, a], k, 8);
-        assert_eq!(clean.matching, dup.matching);
-        assert_eq!(clean.stats, dup.stats);
-        assert_eq!(clean.phases.len(), dup.phases.len());
+        let repaired = |damage: fn(NodeId, NodeId) -> Vec<NodeId>| {
+            let (_, mut s) = churned(&g, k, 7, damage).expect("nonempty");
+            s.run_to_completion();
+            s
+        };
+        let clean = repaired(|a, b| vec![a, b]);
+        let dup = repaired(|a, b| vec![b, b, a, b, a, a]);
+        assert_eq!(clean.matching(), dup.matching());
+        assert_eq!(clean.stats(), dup.stats());
+        assert_eq!(clean.phase_log().len(), dup.phase_log().len());
     }
 
     #[test]
@@ -811,23 +700,14 @@ mod tests {
         for seed in 0..4 {
             let g = gnp(40, 0.08, 90 + seed);
             let k = 2;
-            let full = run(&g, k, seed);
             // Damage the instance: remove one matched edge (both
-            // endpoints become free) — the classic churn event.
-            let Some(&e) = full.matching.edge_ids(&g).first() else {
+            // endpoints become free) — the classic churn event. The
+            // repair epoch seeds as seed + 1.
+            let Some((g2, mut s)) = churned(&g, k, seed, |a, b| vec![a, b]) else {
                 continue;
             };
-            let (a, b) = g.endpoints(e);
-            let (g2, _back) = g.edge_subgraph(|x| x != e);
-            let mut m = Matching::new(g2.n());
-            for &eid in &full.matching.edge_ids(&g) {
-                if eid != e {
-                    let (u, v) = g.endpoints(eid);
-                    let e2 = g2.edge_between(u, v).expect("surviving edge");
-                    m.add(&g2, e2);
-                }
-            }
-            let r = repair(&g2, &m, &[a, b], k, seed + 1);
+            let before = s.stats().clone();
+            let r = s.run_to_completion();
             assert!(r.matching.validate(&g2).is_ok());
             assert!(
                 !has_augmenting_path_within(&g2, &r.matching, 2 * k - 1),
@@ -835,11 +715,12 @@ mod tests {
             );
             // Localized repair must cost far fewer messages than a
             // cold run on the same instance.
+            let repair_messages = r.stats.messages - before.messages;
             let cold = run(&g2, k, seed + 1);
             assert!(
-                r.stats.messages <= cold.stats.messages,
+                repair_messages <= cold.stats.messages,
                 "seed {seed}: repair sent {} messages vs cold {}",
-                r.stats.messages,
+                repair_messages,
                 cold.stats.messages
             );
         }
@@ -848,10 +729,12 @@ mod tests {
     #[test]
     fn repair_with_no_damage_is_free() {
         let g = gnp(20, 0.15, 3);
-        let full = run(&g, 2, 1);
-        let r = repair(&g, &full.matching, &[], 2, 2);
+        let mut s = session(&g, 2, 1);
+        let full = s.run_to_completion();
+        s.resume_after_rewire(RewirePatch::new(g.clone(), vec![]));
+        let r = s.run_to_completion();
         assert_eq!(r.matching, full.matching);
-        assert_eq!(r.stats.messages, 0);
-        assert_eq!(r.stats.rounds, 0);
+        assert_eq!(r.stats.messages, full.stats.messages);
+        assert_eq!(r.stats.rounds, full.stats.rounds);
     }
 }

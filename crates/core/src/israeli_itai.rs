@@ -16,6 +16,19 @@
 //! iterations is `O(log n)` with high probability \[15\].
 //!
 //! Messages are constant-size (2-bit tags), well inside CONGEST.
+//!
+//! ```
+//! use dgraph::generators::random::gnp;
+//! use dmatch::{Algorithm, Session};
+//! let g = gnp(100, 0.05, 1);
+//! let r = Session::on(&g)
+//!     .algorithm(Algorithm::IsraeliItai)
+//!     .seed(7)
+//!     .build()
+//!     .run_to_completion();
+//! assert!(r.matching.is_maximal(&g));        // ⇒ a ½-approximation
+//! assert!(r.stats.max_msg_bits <= 2);        // constant-size messages
+//! ```
 
 use crate::state::{self, NodeInit};
 use dgraph::{Graph, Matching, NodeId, UNMATCHED};
@@ -179,23 +192,13 @@ pub fn round_budget(n: usize) -> u64 {
     3 * (200 + 60 * simnet::id_bits(n.max(2)))
 }
 
-/// Run Israeli–Itai to completion on `g`, starting from `initial`
-/// (pass the empty matching for the classical algorithm). Returns the
-/// resulting *maximal* matching and the network statistics.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::IsraeliItai).warm_start(initial)`"
-)]
-pub fn maximal_matching_from(g: &Graph, initial: &Matching, seed: u64) -> (Matching, NetStats) {
-    maximal_matching_from_cfg(g, initial, seed, ExecCfg::default())
-}
-
 /// The Israeli–Itai primitive every higher layer builds on: run to
 /// completion from `initial` under explicit execution knobs (worker
 /// threads / fault injection) — results are bit-identical across
-/// thread counts. Prefer driving it through `dmatch::session::Session`
-/// (`Algorithm::IsraeliItai`); this function stays public as the
-/// building block for compound protocols (weight classes, schedulers).
+/// thread counts. To run the algorithm itself, use
+/// `dmatch::session::Session` (`Algorithm::IsraeliItai`); this function
+/// stays public as the building block for compound protocols (weight
+/// classes, schedulers).
 pub fn maximal_matching_from_cfg(
     g: &Graph,
     initial: &Matching,
@@ -216,33 +219,6 @@ pub fn maximal_matching_from_cfg(
         })
         .collect();
     (state::matching_from_mates(g, mates), stats)
-}
-
-/// Classical Israeli–Itai from the empty matching.
-///
-/// ```
-/// use dgraph::generators::random::gnp;
-/// let g = gnp(100, 0.05, 1);
-/// #[allow(deprecated)]
-/// let (m, stats) = dmatch::israeli_itai::maximal_matching(&g, 7);
-/// assert!(m.is_maximal(&g));            // ⇒ a ½-approximation
-/// assert!(stats.max_msg_bits <= 2);     // constant-size messages
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::IsraeliItai)` (see the crate-docs migration table)"
-)]
-pub fn maximal_matching(g: &Graph, seed: u64) -> (Matching, NetStats) {
-    maximal_matching_from_cfg(g, &Matching::new(g.n()), seed, ExecCfg::default())
-}
-
-/// [`maximal_matching`] under explicit execution knobs.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).algorithm(Algorithm::IsraeliItai).exec(cfg)`"
-)]
-pub fn maximal_matching_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
-    maximal_matching_from_cfg(g, &Matching::new(g.n()), seed, cfg)
 }
 
 /// Run exactly `iterations` Israeli–Itai iterations (3 rounds each) and
@@ -299,31 +275,22 @@ pub fn bounded_matching_from_cfg(
     (state::agreed_matching(g, &claims), stats)
 }
 
-/// Run Israeli–Itai for a fixed round budget under message loss and
-/// return the *agreed* matching: pairs in which both endpoints claim
-/// each other. Safety check for fault injection — agreement pairs
-/// always form a valid matching even when messages vanish.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session::on(g).adversary(FaultPlan::drop(loss)).round_limit(rounds)` \
-            (bit-identical for the same seed)"
-)]
-pub fn lossy_matching(g: &Graph, seed: u64, rounds: u64, loss: f64) -> (Matching, u64) {
-    let report = crate::session::Session::on(g)
-        .adversary(simnet::FaultPlan::drop(loss))
-        .round_limit(rounds)
-        .seed(seed)
-        .build()
-        .run_to_completion();
-    (report.matching, report.stats.dropped)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay covered until they are removed
 mod tests {
     use super::*;
+    use crate::session::Session;
+    use crate::Algorithm;
     use dgraph::generators::random::gnp;
     use dgraph::generators::structured::{complete, cycle, path, star};
+
+    fn maximal_matching(g: &Graph, seed: u64) -> (Matching, NetStats) {
+        let r = Session::on(g)
+            .algorithm(Algorithm::IsraeliItai)
+            .seed(seed)
+            .build()
+            .run_to_completion();
+        (r.matching, r.stats)
+    }
 
     #[test]
     fn produces_maximal_matchings() {
@@ -372,7 +339,13 @@ mod tests {
     fn respects_warm_start() {
         let g = path(6);
         let init = Matching::from_edges(&g, &[2]); // middle edge (2,3)
-        let (m, _) = maximal_matching_from(&g, &init, 5);
+        let m = Session::on(&g)
+            .algorithm(Algorithm::IsraeliItai)
+            .warm_start(&init)
+            .seed(5)
+            .build()
+            .run_to_completion()
+            .matching;
         assert!(m.contains(&g, 2), "warm-start edges must survive");
         assert!(m.is_maximal(&g));
     }

@@ -4,18 +4,18 @@
 //! crate. This module contains no code — it is the navigation aid for
 //! readers holding the PDF.
 //!
-//! ## Algorithm 1 (abstract phase loop) → [`crate::generic::run`]
+//! ## Algorithm 1 (abstract phase loop) → [`Algorithm::Generic`](crate::Algorithm::Generic)
 //!
 //! | Line | Paper | Code |
 //! |---|---|---|
 //! | 1 | `M ← ∅` | `Matching::new(g.n())` |
 //! | 2 | `k ← ⌈1/ε⌉` | caller picks `k` |
-//! | 3 | `for ℓ ← 1,3,…,2k-1` | the phase loop |
+//! | 3 | `for ℓ ← 1,3,…,2k-1` | the session's phase loop, one `generic::phase_step` per `ℓ` |
 //! | 4 | construct `C_M(ℓ)` | `dgraph::augmenting::enumerate_augmenting_paths` over the gathered views |
 //! | 5 | MIS of `C_M(ℓ)` | `conflict_graph_mis` (Luby process, charged per Lemma 3.3) |
 //! | 6–7 | `M ← M ⊕ P` | `Matching::augment_path` per chosen path |
 //!
-//! ## Algorithm 2 (view gathering) → `generic::gather_balls`
+//! ## Algorithm 2 (view gathering) → `generic::gather_balls_region`
 //!
 //! | Step | Paper | Code |
 //! |---|---|---|
@@ -48,7 +48,7 @@
 //! | trace back & augment | `TokMsg::Flip` retrace |
 //! | chunked pipelining (Lemma 3.7) | *not simulated*; values charged their exact bits (see DESIGN.md) |
 //!
-//! ## Algorithm 4 (red/blue sampling) → [`crate::general::run_with`]
+//! ## Algorithm 4 (red/blue sampling) → [`Algorithm::General`](crate::Algorithm::General), one `general::sample_iteration` per loop iteration
 //!
 //! | Line | Paper | Code |
 //! |---|---|---|
@@ -58,7 +58,7 @@
 //! | 5 | `Aug(Ĝ, M, 2k-1)` | [`crate::bipartite::aug_until_maximal`] |
 //! | 6 | `M ← M ⊕ P` | inside the token pass flips |
 //!
-//! ## Algorithm 5 (weighted reduction) → [`crate::weighted::run`]
+//! ## Algorithm 5 (weighted reduction) → [`Algorithm::Weighted`](crate::Algorithm::Weighted), one `weighted::iteration` per loop iteration
 //!
 //! | Line | Paper | Code |
 //! |---|---|---|

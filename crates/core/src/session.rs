@@ -1,8 +1,7 @@
 //! # The unified `Session` driver
 //!
-//! One builder-first surface for every algorithm of the paper, replacing
-//! the `run` / `run_cfg` / `run_from` / `run_phased` / `run_with` matrix
-//! of free functions that used to multiply with every new knob:
+//! One builder-first surface for every algorithm of the paper — the
+//! only place each algorithm's phase loop lives:
 //!
 //! ```
 //! use dgraph::generators::random::gnp;
@@ -41,10 +40,10 @@
 //! repair. `dchurn::DynEngine` drives its generic arm through this
 //! path.
 //!
-//! Every legacy free function is now a thin `#[deprecated]` shim over
-//! the same per-phase primitives; `tests/prop_session.rs` asserts shim
-//! and session runs are bit-identical (matching *and* the full
-//! `NetStats` trace, including every per-round row).
+//! Each driver arm steps the per-phase primitive of its algorithm
+//! module; `tests/prop_session.rs` pins the output of every variant as
+//! goldens (matching *and* a digest of the full `NetStats` trace,
+//! including every per-round row).
 
 use crate::runner::{Algorithm, RunReport, TerminationMode};
 use crate::weighted::MwmBox;
@@ -359,9 +358,9 @@ impl<'a> SessionBuilder<'a> {
     /// Cap the simulation at exactly `rounds` rounds and extract the
     /// *agreed* matching (pairs in which both endpoints claim each
     /// other) instead of running to quiescence. Only meaningful for
-    /// [`Algorithm::IsraeliItai`], whose fixed-budget lossy regime the
-    /// old `lossy_matching` helper exposed; `build` panics for other
-    /// algorithms.
+    /// [`Algorithm::IsraeliItai`] (its fixed-budget lossy regime, e.g.
+    /// under [`SessionBuilder::adversary`]`(FaultPlan::drop(p))`);
+    /// `build` panics for other algorithms.
     pub fn round_limit(mut self, rounds: u64) -> Self {
         self.round_limit = Some(rounds);
         self
@@ -505,9 +504,9 @@ enum Status {
     Aborted,
 }
 
-/// Per-algorithm phase cursor. Every arm replays the exact loop (and
-/// seed derivations) of the corresponding legacy entry point, via the
-/// shared per-phase primitives of the algorithm modules.
+/// Per-algorithm phase cursor: each arm is its algorithm's phase loop
+/// (schedule, seed derivations, stopping rule), one call of the
+/// algorithm module's per-phase primitive per step.
 enum Driver {
     IsraeliItai {
         done: bool,
@@ -675,8 +674,8 @@ impl Session {
                     // Accept leaves a one-sided mate claim) invalidates
                     // run-until-halt termination and symmetric-claim
                     // extraction; run a bounded window and keep the
-                    // agreed pairs instead. Fault-free runs stay on the
-                    // legacy path and are bit-identical to before.
+                    // agreed pairs instead. Fault-free runs keep the
+                    // run-until-halt path.
                     let plan = self.cfg.effective_faults();
                     let (m, s) = if self.round_limit.is_some() || plan.is_active() {
                         let rounds = self
@@ -886,8 +885,8 @@ impl Session {
     }
 
     /// Step until the epoch completes (or an observer aborts) and
-    /// return the [`RunReport`] — bit-identical, shims included, to the
-    /// legacy `runner::run_cfg` for the same configuration.
+    /// return the [`RunReport`] — identical to stepping the session
+    /// phase by phase.
     pub fn run_to_completion(&mut self) -> RunReport {
         while let Phase::Ran(_) = self.step() {}
         self.report()
@@ -984,7 +983,7 @@ impl Session {
         if let Algorithm::Bipartite { k } = self.alg {
             if !self.finish_bumped {
                 // The phase schedule itself consults the oracle once
-                // per phase (matching the legacy accounting).
+                // per phase.
                 self.oracle_checks += k as u64;
                 self.finish_bumped = true;
             }

@@ -18,7 +18,7 @@
 //! **Cost:** `O(log n)` classes × `O(log n)` rounds per maximal
 //! matching = `O(log² n)` rounds with `O(1)`-bit messages. The real
 //! \[18\] achieves `O(log n)` by running classes concurrently; the
-//! parallel variant here ([`run_parallel`]) does the same by batching
+//! parallel variant here (`MwmBox::ParClass`) does the same by batching
 //! per-class messages (message size grows to `O(log n)` tags), which is
 //! the ablation of experiment E5b.
 
@@ -104,38 +104,19 @@ pub fn run_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
     (m, stats)
 }
 
-/// Parallel-class variant: all classes run their Israeli–Itai instances
+/// Parallel-class variant, the [`MwmBox::ParClass`](crate::weighted::MwmBox)
+/// implementation: all classes run their Israeli–Itai instances
 /// concurrently; conflicts between classes are resolved by keeping, at
 /// every vertex, only the heaviest-class matched edge (both endpoints
 /// must agree). Fewer rounds, larger (batched) messages; the measured δ
 /// is compared against the sequential variant in E5b.
-#[deprecated(
-    since = "0.1.0",
-    note = "route through `MwmBox::ParClass` (e.g. \
-            `Session::on(g).algorithm(Algorithm::DeltaMwm { mwm_box: MwmBox::ParClass })`), \
-            which threads the session's `ExecCfg` into every per-class network"
-)]
-#[allow(deprecated)]
-pub fn run_parallel(g: &Graph, seed: u64) -> (Matching, NetStats) {
-    run_parallel_cfg(g, seed, ExecCfg::default())
-}
-
-/// [`run_parallel`] under explicit execution knobs.
-#[deprecated(
-    since = "0.1.0",
-    note = "route through `MwmBox::ParClass` with a session/`MwmBox::run_cfg` `ExecCfg`"
-)]
-pub fn run_parallel_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
-    run_parallel_inner(g, seed, cfg)
-}
-
-/// The [`MwmBox::ParClass`](crate::weighted::MwmBox) implementation:
-/// every per-class Israeli–Itai network runs under the *caller's*
+///
+/// Every per-class Israeli–Itai network runs under the *caller's*
 /// [`ExecCfg`] (scheduler mode, worker threads, fault injection) — no
 /// thread choice is hard-coded here, and results are bit-identical
 /// across `cfg.threads` like every other entry point (asserted by
 /// `tests/prop_session.rs`).
-pub(crate) fn run_parallel_inner(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
+pub(crate) fn run_parallel_cfg(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
     let mut stats = NetStats::default();
     if g.m() == 0 {
         return (Matching::new(g.n()), stats);
@@ -194,12 +175,25 @@ pub(crate) fn run_parallel_inner(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matchin
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay covered until they are removed
 mod tests {
     use super::*;
+    use crate::session::Session;
+    use crate::weighted::MwmBox;
+    use crate::Algorithm;
     use dgraph::generators::random::gnp;
     use dgraph::generators::weights::{apply_weights, WeightModel};
     use dgraph::mwm_exact::max_weight_exact;
+
+    fn run_parallel(g: &Graph, seed: u64) -> (Matching, NetStats) {
+        let r = Session::on(g)
+            .algorithm(Algorithm::DeltaMwm {
+                mwm_box: MwmBox::ParClass,
+            })
+            .seed(seed)
+            .build()
+            .run_to_completion();
+        (r.matching, r.stats)
+    }
 
     #[test]
     fn class_of_boundaries() {

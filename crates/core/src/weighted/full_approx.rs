@@ -26,7 +26,7 @@
 
 use dgraph::waug::{self, Augmentation};
 use dgraph::{Graph, Matching};
-use simnet::NetStats;
+use simnet::{ExecCfg, NetStats};
 
 /// Outcome of the `(1-ε)`-MWM algorithm.
 #[derive(Debug)]
@@ -54,7 +54,7 @@ pub fn iteration_bound(k: usize, delta: f64) -> u64 {
 /// slack `δ`, the result has weight at least `(1-δ)·k/(k+1)·w(M*)`.
 /// Stops early once no positive-gain augmentation remains (then the
 /// matching is a true `k/(k+1)`-MWM by Lemma 4.2).
-pub fn run(g: &Graph, k: usize, delta: f64, _seed: u64) -> FullApproxRun {
+pub fn run(g: &Graph, k: usize, delta: f64, seed: u64) -> FullApproxRun {
     assert!(k >= 1);
     let budget = iteration_bound(k, delta);
     let ell = 2 * k + 1; // max augmentation diameter in edges
@@ -67,7 +67,14 @@ pub fn run(g: &Graph, k: usize, delta: f64, _seed: u64) -> FullApproxRun {
         // The Algorithm-2 ball gathering that makes every augmentation
         // (and its conflicts) locally visible — executed with real
         // messages, exactly like Theorem 3.1's phases.
-        let (_views, gstats) = crate::generic::gather_balls(g, &m, 2 * ell, _seed.wrapping_add(it));
+        let (_views, gstats) = crate::generic::gather_balls_region(
+            g,
+            &m,
+            2 * ell,
+            seed.wrapping_add(it),
+            ExecCfg::default(),
+            None,
+        );
         stats.absorb(&gstats);
         let augs = waug::enumerate_augmentations(g, &m, k);
         if augs.is_empty() {

@@ -30,8 +30,9 @@
 //! Two repair algorithms are provided: an incremental Israeli–Itai
 //! ([`repair::RepairNode`], maximal ⇒ ½-MCM after every epoch) and the
 //! warm-started generic `(1-1/(k+1))`-MCM
-//! ([`dmatch::generic::repair`]). Both are bit-identical across worker
-//! thread counts, like every other protocol in the workspace.
+//! ([`dmatch::Session::resume_after_rewire`]). Both are bit-identical
+//! across worker thread counts, like every other protocol in the
+//! workspace.
 //!
 //! ```
 //! use dchurn::{ChurnModel, DynEngine, RepairAlgo};

@@ -5,8 +5,8 @@
 //! [`FaultPlan`]. The
 //! plan subsumes the three fault paths that previously lived in
 //! disconnected corners of the workspace — `ExecCfg::loss` (uniform
-//! Bernoulli drop), `israeli_itai::lossy_matching` (a bespoke lossy
-//! runner), and `switchsim::FailurePlan` (two-state Markov link flaps)
+//! Bernoulli drop), a bespoke lossy Israeli–Itai runner in `dmatch`,
+//! and `switchsim::FailurePlan` (two-state Markov link flaps)
 //! — and extends them with bounded per-message delay, per-round partial
 //! delivery, crash-stop node faults with optional rejoin, and CONGEST
 //! bit-budget enforcement.
@@ -208,8 +208,8 @@ impl FaultPlan {
     };
 
     /// Uniform Bernoulli message drop with probability `p` — the plan
-    /// `ExecCfg::loss` and the deprecated `lossy_matching` route
-    /// through.
+    /// `ExecCfg::loss` routes through, and with a round limit the
+    /// fixed-window lossy Israeli–Itai regime.
     pub fn drop(p: f64) -> FaultPlan {
         FaultPlan::NONE.with_drop(p)
     }
