@@ -1,11 +1,11 @@
-//! E19 — hybrid sparse/dense **parallel frontier**: does multi-threaded
+//! E19 — the sparse **parallel frontier**: does multi-threaded
 //! stepping actually win, and does it ever lose?
 //!
 //! The paper's algorithms are round-synchronous, so a round is an
 //! embarrassingly parallel map over the active nodes. E19 sweeps a
-//! threads × n × activity ladder over the hybrid scheduler
-//! (`SchedMode::Hybrid` + the per-round cost model of
-//! `simnet::parallel`) and records, machine-readably:
+//! threads × n × activity ladder over the default sparse scheduler,
+//! timing sequential stepping against the cost-modelled parallel
+//! executor of `simnet::parallel`, and records, machine-readably:
 //!
 //! * `par_speedup` per (n, activity, threads) cell — sequential time
 //!   over parallel time, so > 1 means parallel won;
@@ -17,12 +17,10 @@
 //!   pays over `threads = 1` on a workload the cost model (correctly)
 //!   refuses to fan out — the acceptance bound is < 5%, asserted here
 //!   whenever the model did keep everything sequential;
-//! * the hybrid-vs-sparse scheduler ratio at full activity (the wake
-//!   list's sort/push/dedup tax that the dense representation avoids);
 //! * a per-phase wall-clock breakdown (the `dobs` timing-histogram
-//!   registry behind `ExecCfg::timing`) of one
-//!   low-activity hybrid run, showing where rounds actually go
-//!   (sparse vs. dense stepping, representation conversion, merge).
+//!   registry behind `ExecCfg::timing`) of one low-activity parallel
+//!   run, showing where rounds actually go (stepping vs. the merge of
+//!   worker output).
 //!
 //! Correctness is not sampled here, it is gated: every measured
 //! configuration first re-runs a short prefix against the sequential
@@ -123,7 +121,7 @@ struct Cell {
 fn main() {
     banner(
         "E19",
-        "hybrid parallel frontier: threads x n x activity",
+        "sparse parallel frontier: threads x n x activity",
         "round-synchronous model; rounds are parallel maps over active nodes",
     );
     let fp = host::fingerprint();
@@ -165,11 +163,11 @@ fn main() {
         for &activity in &activities {
             let threshold = (n as f64 * activity).round() as NodeId;
             let seq_ns = {
-                let mut net = mk(&topo, threshold, seed, ExecCfg::sequential().hybrid());
+                let mut net = mk(&topo, threshold, seed, ExecCfg::sequential());
                 time_rounds(&mut net, rounds, runs).as_nanos()
             };
             for &threads in &thread_ladder {
-                let cfg = ExecCfg::parallel(threads).hybrid();
+                let cfg = ExecCfg::parallel(threads);
                 gate(&topo, threshold, seed, cfg);
                 let mut net = mk(&topo, threshold, seed, cfg);
                 let par_ns = time_rounds(&mut net, rounds, runs).as_nanos();
@@ -251,28 +249,8 @@ fn main() {
         );
     }
 
-    // Scheduler tax at full activity, sequentially: hybrid (which goes
-    // dense) against pure sparse (which pays sort/push/dedup per round).
-    let tax_n = ns.last().copied().unwrap_or(2_000);
-    let g = gnp(tax_n, 8.0 / tax_n as f64, 7);
-    let topo = dmatch::topology_of(&g);
-    let sparse_ns = {
-        let mut net = mk(&topo, tax_n as NodeId, seed, ExecCfg::sequential());
-        time_rounds(&mut net, rounds, runs).as_nanos()
-    };
-    let hybrid_ns = {
-        let mut net = mk(&topo, tax_n as NodeId, seed, ExecCfg::sequential().hybrid());
-        time_rounds(&mut net, rounds, runs).as_nanos()
-    };
-    let hybrid_speedup_full_activity = sparse_ns as f64 / hybrid_ns as f64;
-    println!(
-        "  hybrid vs sparse at 100% activity (n={tax_n}, seq): {}x",
-        f2(hybrid_speedup_full_activity)
-    );
-
-    // Phase breakdown of one low-activity hybrid run: round 0 schedules
-    // everyone (dense), then activity drops to 5% and the judge
-    // converts back to sparse — all three phases show up.
+    // Phase breakdown of one low-activity parallel run: round 0
+    // schedules everyone, then activity drops to 5%.
     let pb_n = ns.last().copied().unwrap_or(2_000);
     let g = gnp(pb_n, 8.0 / pb_n as f64, 7);
     let topo = dmatch::topology_of(&g);
@@ -280,25 +258,20 @@ fn main() {
         &topo,
         (pb_n / 20) as NodeId,
         seed,
-        ExecCfg::parallel(t_max).hybrid().timed(),
+        ExecCfg::parallel(t_max).timed(),
     );
     pb_net.run_rounds(rounds);
     // The timing registry holds per-round histograms; `sum()` is the
     // old scalar accumulator, the p99 column is what the scalars hid.
     let pt = pb_net.stats().timings.clone();
-    let (sparse_sum, dense_sum, conv_sum, merge_sum) = (
+    let (sparse_sum, merge_sum) = (
         pt.sum(simnet::stats::timing::SPARSE_UPDATE_NS),
-        pt.sum(simnet::stats::timing::DENSE_UPDATE_NS),
-        pt.sum(simnet::stats::timing::CONVERSION_NS),
         pt.sum(simnet::stats::timing::MERGE_NS),
     );
     println!(
-        "  phase breakdown (n={pb_n}, 5% activity, {} rounds): \
-         sparse {}us, dense {}us, conversion {}us, merge {}us",
+        "  phase breakdown (n={pb_n}, 5% activity, {} rounds): sparse {}us, merge {}us",
         rounds,
         sparse_sum / 1_000,
-        dense_sum / 1_000,
-        conv_sum / 1_000,
         merge_sum / 1_000
     );
     if let Some(h) = pt.hist(simnet::stats::timing::SPARSE_UPDATE_NS) {
@@ -342,12 +315,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"hybrid_over_sparse_full_activity\": {hybrid_speedup_full_activity:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"phase_breakdown_ns\": {{\"sparse_update\": {sparse_sum}, \
-         \"dense_update\": {dense_sum}, \"conversion\": {conv_sum}, \"merge\": {merge_sum}}},"
+        "  \"phase_breakdown_ns\": {{\"sparse_update\": {sparse_sum}, \"merge\": {merge_sum}}},"
     );
     let _ = writeln!(json, "  \"timings\": {}", pt.to_json());
     json.push_str("}\n");

@@ -168,7 +168,7 @@ pub fn aug_until_maximal_cfg(
     cfg: ExecCfg,
 ) -> AugOutcome {
     assert!(ell % 2 == 1, "augmenting path lengths are odd");
-    let faulty = cfg.effective_faults().is_active();
+    let faulty = cfg.faults.is_active();
     let mut m = m0.clone();
     let mut stats = NetStats::default();
     let mut applied = 0usize;

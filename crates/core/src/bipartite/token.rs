@@ -240,7 +240,7 @@ pub fn run_cfg(
     // under an active fault plan keep only the pairs both endpoints
     // agree on (always a valid matching). Fault-free extraction is
     // unchanged.
-    let matching = if cfg.effective_faults().is_active() {
+    let matching = if cfg.faults.is_active() {
         state::agreed_matching(g, &mates)
     } else {
         state::matching_from_mates(g, mates)

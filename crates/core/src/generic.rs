@@ -144,7 +144,7 @@ pub(crate) fn gather_balls_region(
         })
         .collect();
     let mut net = Network::new(crate::state::topology_of(g), nodes, seed).with_cfg(cfg);
-    if cfg.effective_faults().breaks_synchrony() {
+    if cfg.faults.breaks_synchrony() {
         // Crashed nodes never step (and so never halt), and delayed
         // payloads keep the plane busy past the schedule: run the fixed
         // window and take whatever views the survivors gathered.
@@ -411,7 +411,7 @@ pub(crate) fn phase_step(
     // carried a path into some node's ball. Safety is unaffected (path
     // enumeration is global); the gathered traffic just degrades.
     debug_assert!(
-        cfg.effective_faults().is_active()
+        cfg.faults.is_active()
             || paths.iter().all(|p| p.iter().all(|&v| {
                 p.windows(2).all(|w| {
                     let e = g.edge_between(w[0], w[1]).unwrap();

@@ -676,8 +676,7 @@ impl Session {
                     // extraction; run a bounded window and keep the
                     // agreed pairs instead. Fault-free runs keep the
                     // run-until-halt path.
-                    let plan = self.cfg.effective_faults();
-                    let (m, s) = if self.round_limit.is_some() || plan.is_active() {
+                    let (m, s) = if self.round_limit.is_some() || self.cfg.faults.is_active() {
                         let rounds = self
                             .round_limit
                             .unwrap_or_else(|| israeli_itai::round_budget(self.g.n()));

@@ -34,7 +34,7 @@ use simnet::{ExecCfg, NetStats};
 /// driver.
 fn class_maximal(g: &Graph, seed: u64, cfg: ExecCfg) -> (Matching, NetStats) {
     let empty = Matching::new(g.n());
-    if cfg.effective_faults().is_active() {
+    if cfg.faults.is_active() {
         israeli_itai::bounded_matching_from_cfg(
             g,
             &empty,

@@ -153,7 +153,7 @@ pub fn run_from_cfg(
     // dropped one-shot `Matched` announcement leaves a neighbor pointing
     // forever (so the network may never halt). Run to the fixed round
     // budget and keep only mutually-agreed pairs.
-    let faulty = cfg.effective_faults().is_active();
+    let faulty = cfg.faults.is_active();
     if faulty {
         net.run_rounds(round_budget(g.n()));
     } else {

@@ -6,8 +6,8 @@
 //! loads directly in Perfetto (<https://ui.perfetto.dev>) or
 //! `chrome://tracing`: rounds render as spans on one track, each
 //! parallel worker gets its own track, merges nest inside their round,
-//! and mode switches / wakes / rewires / phases / epochs appear as
-//! instant markers.
+//! and wakes / rewires / phases / epochs / faults appear as instant
+//! markers.
 
 use crate::plane::{Event, FlightRecorder};
 
@@ -39,15 +39,6 @@ pub fn event_json(ev: &Event) -> String {
         } => format!(
             "{{\"ev\": \"round\", \"round\": {round}, \"t0_ns\": {t0_ns}, \"t1_ns\": {t1_ns}, \
              \"stepped\": {stepped}, \"sent\": {sent}, \"dense\": {dense}, \"workers\": {workers}}}"
-        ),
-        Event::ModeSwitch {
-            t_ns,
-            round,
-            to_dense,
-            wake_len,
-        } => format!(
-            "{{\"ev\": \"mode_switch\", \"t_ns\": {t_ns}, \"round\": {round}, \
-             \"to_dense\": {to_dense}, \"wake_len\": {wake_len}}}"
         ),
         Event::Phase {
             t_ns,
@@ -244,20 +235,6 @@ pub fn chrome_trace(rec: &FlightRecorder) -> String {
                     &args,
                 ));
             }
-            Event::ModeSwitch {
-                t_ns,
-                round,
-                to_dense,
-                wake_len,
-            } => {
-                let name = if to_dense {
-                    "mode→dense"
-                } else {
-                    "mode→sparse"
-                };
-                let args = format!("{{\"round\": {round}, \"wake_len\": {wake_len}}}");
-                rows.push(instant(name, TID_ROUNDS, t_ns, &args));
-            }
             Event::Wake { t_ns, round, node } => {
                 let args = format!("{{\"round\": {round}, \"node\": {node}}}");
                 rows.push(instant("wake", TID_ROUNDS, t_ns, &args));
@@ -406,12 +383,6 @@ mod tests {
             t0_ns: 2200,
             t1_ns: 2400,
         });
-        r.push(Event::ModeSwitch {
-            t_ns: 5100,
-            round: 2,
-            to_dense: true,
-            wake_len: 999,
-        });
         r.push(Event::Phase {
             t_ns: 6000,
             index: 0,
@@ -526,7 +497,7 @@ mod tests {
             .iter()
             .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("i"))
             .count();
-        assert_eq!(instants, 5);
+        assert_eq!(instants, 4);
         // Spans carry positive durations in microseconds.
         for e in events {
             if e.get("ph").and_then(|p| p.as_str()) == Some("X") {

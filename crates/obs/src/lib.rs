@@ -7,9 +7,8 @@
 //! them into:
 //!
 //! - [`plane`] — the structured event plane: typed, `Copy`,
-//!   heap-free [`Event`]s (round spans, scheduler mode switches, phase
-//!   and epoch boundaries, rewires, wakes, repair-ball probes, worker
-//!   sections) recorded into a bounded ring-buffer
+//!   heap-free [`Event`]s (round spans, phase and epoch boundaries,
+//!   rewires, wakes, repair-ball probes, worker sections) recorded into a bounded ring-buffer
 //!   [`FlightRecorder`]. Installation is thread-local and scoped
 //!   ([`TraceSession`]); when nothing is installed — the default —
 //!   every hook costs one flag read and an untaken branch. Like

@@ -129,17 +129,6 @@ pub enum Event {
         /// Parallel workers spawned (0 when the round ran inline).
         workers: u32,
     },
-    /// The hybrid judge switched representation.
-    ModeSwitch {
-        /// Timestamp, ns since recorder install.
-        t_ns: u64,
-        /// Round at which the switch took effect.
-        round: u64,
-        /// New representation: true = dense sweep, false = wake list.
-        to_dense: bool,
-        /// Wake-list length that triggered the decision.
-        wake_len: u64,
-    },
     /// A `Session` phase boundary (one algorithm phase finished).
     Phase {
         /// Timestamp, ns since recorder install.

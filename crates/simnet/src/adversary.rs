@@ -2,12 +2,12 @@
 //!
 //! Every delivery in a [`crate::Network`] passes through one
 //! `Adversary` (crate-internal), configured by a single composable
-//! [`FaultPlan`]. The
-//! plan subsumes the three fault paths that previously lived in
-//! disconnected corners of the workspace — `ExecCfg::loss` (uniform
-//! Bernoulli drop), a bespoke lossy Israeli–Itai runner in `dmatch`,
-//! and `switchsim::FailurePlan` (two-state Markov link flaps)
-//! — and extends them with bounded per-message delay, per-round partial
+//! [`FaultPlan`]. The plan subsumes the three fault paths that
+//! previously lived in disconnected corners of the workspace — a
+//! message-loss knob on the execution config (uniform Bernoulli drop),
+//! a bespoke lossy Israeli–Itai runner in `dmatch`, and
+//! `switchsim::FailurePlan` (two-state Markov link flaps) — and
+//! extends them with bounded per-message delay, per-round partial
 //! delivery, crash-stop node faults with optional rejoin, and CONGEST
 //! bit-budget enforcement.
 //!
@@ -16,7 +16,7 @@
 //! Same seed + same `FaultPlan` ⇒ **bit-identical** runs (matchings,
 //! RNG streams, `NetStats` minus the documented scheduler-overhead and
 //! timing exemptions) across every executor ({seq, 2, 8 threads}) and
-//! every scheduler ({sparse, dense, hybrid}). The contract holds
+//! every scheduler ({sparse, dense}). The contract holds
 //! because every adversary decision is made on the **main thread**, in
 //! a fixed order, from RNG streams that are independent of the node
 //! streams:
@@ -30,7 +30,7 @@
 //!   consumed only when its fault class is enabled — so composing a
 //!   new fault class never perturbs the draws of another, and a plan
 //!   that only drops messages consumes the drop stream exactly as the
-//!   legacy `ExecCfg::loss` path did (bit-for-bit reproduction of old
+//!   pre-adversary loss path did (bit-for-bit reproduction of old
 //!   lossy runs);
 //! * crash/rejoin events are **pre-sampled** at plan installation
 //!   (geometric first-crash rounds from one dedicated stream) and
@@ -207,9 +207,8 @@ impl FaultPlan {
         congest: CongestMode::Degrade,
     };
 
-    /// Uniform Bernoulli message drop with probability `p` — the plan
-    /// `ExecCfg::loss` routes through, and with a round limit the
-    /// fixed-window lossy Israeli–Itai regime.
+    /// Uniform Bernoulli message drop with probability `p` — with a
+    /// round limit, the fixed-window lossy Israeli–Itai regime.
     pub fn drop(p: f64) -> FaultPlan {
         FaultPlan::NONE.with_drop(p)
     }

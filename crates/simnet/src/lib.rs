@@ -93,12 +93,15 @@
 //! tracked by a maintained counter, so [`Network::all_halted`] is
 //! O(1).
 //!
-//! The dense `0..n` sweep survives as [`SchedMode::Dense`] (a
-//! fallback and reference), and [`SchedMode::Hybrid`] switches
-//! between the two representations per round with a deterministic,
-//! counter-driven judge (see [`parallel`] for the thresholds and the
-//! determinism contract). All schedulers step the same node set by
-//! construction, at any thread count ([`ExecCfg::parallel`]), so
+//! The simulator has exactly two round executors. The sparse wake
+//! list is the default, run sequentially or — under
+//! [`ExecCfg::parallel`] — fanned out across workers whenever the
+//! per-round cost model says the workload pays for the spawn (see
+//! [`parallel`] for the cost model and the determinism contract). The
+//! dense `0..n` sweep survives as [`SchedMode::Dense`], a sequential
+//! reference executor the identity suites compare against. Both
+//! schedulers step the same node set by construction, at any thread
+//! count, so
 //! results — matchings, RNG streams, `NetStats` traces — are
 //! bit-identical, with the exception of the
 //! [`stats::RoundTrace::sched_overhead`] gauge, which records the
@@ -108,7 +111,7 @@
 //! [`NetStats::timings`] registry under the [`stats::timing`] names
 //! (a [`dobs::Registry`] of log-bucketed nanosecond distributions).
 //! The `dobs` flight-recorder hooks in the round loop (round spans,
-//! mode switches, wakes, rewires, worker sections) carry the same
+//! wakes, rewires, worker sections) carry the same
 //! exemption: they observe runs, they never steer them.
 //! Per-round [`stats::RoundTrace::active`] and cumulative
 //! [`NetStats::node_steps`] expose the activity the sparse plane's

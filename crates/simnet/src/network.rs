@@ -275,7 +275,7 @@ pub struct RunOutcome {
 
 /// Which round scheduler drives [`Network::step`].
 ///
-/// All modes step exactly the same set of nodes each round (the
+/// Both modes step exactly the same set of nodes each round (the
 /// scheduler contract below), so results are **bit-identical**; they
 /// differ only in how that set is found:
 ///
@@ -284,20 +284,10 @@ pub struct RunOutcome {
 ///   nodes, not `n`. This is the activity-driven plane: protocols that
 ///   halt or [`Ctx::sleep`] drop out of the per-round cost entirely.
 /// * [`SchedMode::Dense`] sweeps `0..n` every round, skipping halted
-///   and sleeping nodes — the classical executor, kept as a fallback
-///   and as the reference the property suites compare against.
-/// * [`SchedMode::Hybrid`] keeps **both frontier representations** and
-///   switches per round with a deterministic `judge()` threshold, the
-///   direction-optimizing pattern of parlay's LDD: high-activity
-///   rounds run as a dense sweep (no wake-list sort, push, or
-///   delivery-stamp dedup), low-activity rounds drain the sparse wake
-///   list. Sparse→dense conversion is free (the halt/doze/mail flags
-///   the dense sweep reads are maintained in every mode); dense→sparse
-///   pays one O(n) wake-list rebuild from the scheduler predicate. The
-///   judge never inspects wall-clock or thread counts, so a hybrid
-///   run's representation sequence — and hence its `sched_overhead`
-///   trace — is reproducible; everything else is bit-identical to the
-///   other two modes.
+///   and sleeping nodes — the classical executor, kept as the
+///   reference the property suites compare against. It always runs
+///   sequentially: [`ExecCfg::threads`] is a ceiling, and only the
+///   sparse executor fans out.
 ///
 /// **Scheduler contract** — a node `v` is stepped in round `r` iff it
 /// is not halted and at least one of:
@@ -315,25 +305,9 @@ pub enum SchedMode {
     /// Activity-driven wake list: round cost ∝ active nodes.
     #[default]
     Sparse,
-    /// Dense `0..n` sweep: round cost ∝ `n` (fallback / reference).
+    /// Dense `0..n` sweep: round cost ∝ `n` (sequential reference).
     Dense,
-    /// Judge-switched dual representation: dense sweep above the
-    /// activity threshold, sparse wake list below it.
-    Hybrid,
 }
-
-/// Hybrid judge, upswitch: a round whose (upper-bound) scheduled count
-/// is at least `n / HYBRID_DENSE_DIV` runs as a dense sweep. At that
-/// activity the wake list's sort + per-node push + per-delivery stamp
-/// dedup cost more than scanning the `n - active` idle flag slots.
-pub(crate) const HYBRID_DENSE_DIV: usize = 8;
-
-/// Hybrid judge, downswitch: a dense round whose *previous* round
-/// stepped fewer than `n / HYBRID_SPARSE_DIV` nodes converts back to
-/// the sparse representation (one O(n) wake-list rebuild). The gap to
-/// [`HYBRID_DENSE_DIV`] is hysteresis so activity hovering near the
-/// threshold does not thrash conversions.
-pub(crate) const HYBRID_SPARSE_DIV: usize = 16;
 
 /// Execution knobs shared by every layer that builds a [`Network`]:
 /// worker-thread count, fault injection, and the round scheduler.
@@ -344,19 +318,14 @@ pub struct ExecCfg {
     /// Worker threads for node stepping (1 = sequential). This is a
     /// *ceiling*, not a demand: the per-round cost model spawns fewer
     /// workers (down to none) when the measured workload would not pay
-    /// for them. Results are bit-identical regardless of the value.
+    /// for them, and [`SchedMode::Dense`] rounds never fan out.
+    /// Results are bit-identical regardless of the value.
     pub threads: usize,
-    /// Message-loss probability (0.0 = reliable). Kept as the
-    /// historical shorthand for a uniform-drop plan: a nonzero value
-    /// overrides the drop probability of [`ExecCfg::faults`] (see
-    /// [`ExecCfg::effective_faults`]), and the drop decisions are
-    /// bit-identical to the pre-adversary loss path.
-    pub loss: f64,
     /// The full adversary plan (drop, burst, delay, stall, crash,
     /// CONGEST budget). [`FaultPlan::NONE`] by default.
     pub faults: FaultPlan,
-    /// Round scheduler (sparse wake list / dense sweep / judge-switched
-    /// hybrid). Results are bit-identical regardless of the value.
+    /// Round scheduler (sparse wake list / dense reference sweep).
+    /// Results are bit-identical regardless of the value.
     pub sched: SchedMode,
     /// Collect the per-phase wall-clock breakdown into the
     /// [`NetStats::timings`] histogram registry (see
@@ -368,7 +337,8 @@ pub struct ExecCfg {
     pub timing: bool,
     /// Test/bench escape hatch: bypass the cost model and spawn one
     /// worker per requested thread regardless of machine or workload,
-    /// so the parallel partitioners run for real on any host. Never
+    /// so the parallel partitioner runs for real on any host (dense
+    /// rounds still run sequentially). Never
     /// set this in production configs — on small workloads it
     /// re-creates the thread-spawn pathology the cost model exists to
     /// prevent.
@@ -386,7 +356,6 @@ impl ExecCfg {
     pub const fn sequential() -> Self {
         ExecCfg {
             threads: 1,
-            loss: 0.0,
             faults: FaultPlan::NONE,
             sched: SchedMode::Sparse,
             timing: false,
@@ -403,16 +372,9 @@ impl ExecCfg {
         }
     }
 
-    /// The same configuration under the dense fallback scheduler.
+    /// The same configuration under the dense reference scheduler.
     pub const fn dense(mut self) -> Self {
         self.sched = SchedMode::Dense;
-        self
-    }
-
-    /// The same configuration under the judge-switched hybrid
-    /// scheduler.
-    pub const fn hybrid(mut self) -> Self {
-        self.sched = SchedMode::Hybrid;
         self
     }
 
@@ -433,18 +395,6 @@ impl ExecCfg {
     pub const fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
-    }
-
-    /// The plan the network actually installs: [`ExecCfg::faults`],
-    /// with a nonzero legacy [`ExecCfg::loss`] overriding the drop
-    /// probability (the historical knob wins, so existing loss-seeded
-    /// configurations reproduce bit-for-bit).
-    pub fn effective_faults(&self) -> FaultPlan {
-        if self.loss > 0.0 {
-            self.faults.with_drop(self.loss)
-        } else {
-            self.faults
-        }
     }
 }
 
@@ -551,18 +501,9 @@ pub struct Network<P: Protocol> {
     /// multi-worker rounds on any machine and workload size (see
     /// [`ExecCfg::force_parallel`]).
     pub(crate) force_parallel: bool,
-    /// Round scheduler (sparse wake list / dense sweep / hybrid).
+    /// Round scheduler (sparse wake list / dense sweep). Under
+    /// [`SchedMode::Dense`] the wake list is not maintained.
     pub(crate) sched: SchedMode,
-    /// The representation the *next* round will run in: `true` = dense
-    /// flag sweep, `false` = sparse wake list. Fixed for the pure
-    /// modes; flipped by the judge under [`SchedMode::Hybrid`]. While
-    /// dense, the wake list is not maintained (it lapses) and is
-    /// rebuilt from the scheduler predicate on conversion back.
-    pub(crate) frontier_dense: bool,
-    /// Judge input while the frontier is dense: the number of nodes the
-    /// previous round stepped (while sparse, the wake-list length is
-    /// the exact upcoming count, so this is not consulted).
-    pub(crate) est_active: u64,
     /// Per-round seq-vs-parallel cost model (measured ns/work-unit
     /// EWMAs; purely a performance decision, results are bit-identical
     /// whichever path it picks).
@@ -631,8 +572,6 @@ impl<P: Protocol> Network<P> {
             threads: 1,
             force_parallel: false,
             sched: SchedMode::default(),
-            frontier_dense: false,
-            est_active: n as u64,
             cost: CostModel::new(),
             peak_workers: 1,
             timing: false,
@@ -645,22 +584,6 @@ impl<P: Protocol> Network<P> {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Inject message loss: every message is independently dropped with
-    /// probability `p` **after** being charged to the statistics (the
-    /// sender paid for it). The paper's model is fault-free; this knob
-    /// exists for robustness testing — protocols are expected to keep
-    /// their *safety* properties but may lose liveness.
-    ///
-    /// Shorthand for [`Network::with_faults`] with
-    /// [`FaultPlan::drop`]`(p)` merged into the current plan. Like
-    /// every plan setter, `p` is clamped to `[0, 1]` (with a
-    /// `debug_assert` on out-of-range input) instead of being silently
-    /// accepted.
-    pub fn with_message_loss(self, p: f64) -> Self {
-        let plan = self.adversary.plan.with_drop(p);
-        self.with_faults(plan)
     }
 
     /// Install an adversary plan (drop / burst / delay / stall / crash
@@ -679,10 +602,6 @@ impl<P: Protocol> Network<P> {
     /// bit-identical across modes).
     pub fn with_sched(mut self, sched: SchedMode) -> Self {
         self.sched = sched;
-        // Pure Dense runs dense from round 0; Sparse and Hybrid start
-        // sparse (round 0 schedules everyone, so a hybrid judge
-        // converts — for free — before the first step).
-        self.frontier_dense = sched == SchedMode::Dense;
         self
     }
 
@@ -696,7 +615,7 @@ impl<P: Protocol> Network<P> {
     pub fn with_cfg(mut self, cfg: ExecCfg) -> Self {
         self.force_parallel = cfg.force_parallel;
         self.with_threads(cfg.threads)
-            .with_faults(cfg.effective_faults())
+            .with_faults(cfg.faults)
             .with_sched(cfg.sched)
             .with_timing(cfg.timing)
     }
@@ -747,13 +666,12 @@ impl<P: Protocol> Network<P> {
         self.live
     }
 
-    /// True while the upcoming round schedules from the wake list
-    /// (sparse representation). Dense rounds — pure [`SchedMode::Dense`]
-    /// or a hybrid round above the judge threshold — derive scheduling
-    /// from the halt/doze/mail flags and let the list lapse.
+    /// True when rounds schedule from the wake list. The
+    /// [`SchedMode::Dense`] sweep derives scheduling from the
+    /// halt/doze/mail flags and never maintains the list.
     #[inline]
     pub(crate) fn uses_wake_list(&self) -> bool {
-        !self.frontier_dense
+        self.sched != SchedMode::Dense
     }
 
     /// Wake `v` externally: un-halt it if needed, clear its sleep flag,
@@ -780,10 +698,9 @@ impl<P: Protocol> Network<P> {
             self.live += 1;
         }
         self.dozing[vi] = false;
-        // The wake list is live only in the sparse representation; a
-        // dense round derives scheduling from the flags above, and
-        // pushing here would grow a list the dense sweep never drains
-        // (a hybrid dense→sparse conversion rebuilds it instead).
+        // The wake list is live only under the sparse scheduler; the
+        // dense sweep derives scheduling from the flags above, and
+        // pushing here would grow a list it never drains.
         if self.uses_wake_list() && self.wake_stamp[vi] != self.round {
             self.wake_stamp[vi] = self.round;
             self.wake_cur.push(v);
@@ -812,118 +729,48 @@ impl<P: Protocol> Network<P> {
         self.peak_workers
     }
 
-    /// The hybrid judge: pick the representation for the round about to
-    /// execute and perform any conversion. Deterministic — inputs are
-    /// node counts only, never wall-clock — so a hybrid run's
-    /// representation sequence is reproducible.
-    ///
-    /// Upswitch (sparse→dense) triggers on the wake-list length (an
-    /// exact upper bound on the upcoming scheduled count, stale entries
-    /// included) and is free: the flags the dense sweep reads are
-    /// maintained in every mode, the list simply lapses. Downswitch
-    /// (dense→sparse) triggers on the previous round's stepped count
-    /// and pays one O(n) wake-list rebuild from the scheduler
-    /// predicate — charged to the `conversion_ns` timing histogram
-    /// when timing is on, and amortized: it only happens when leaving
-    /// a regime whose every round already cost O(n).
-    ///
-    /// Both switch directions emit a `dobs` [`ModeSwitch`] instant
-    /// when a flight recorder is installed (observation only — the
-    /// decision itself never reads the trace plane or the clock).
-    ///
-    /// [`ModeSwitch`]: dobs::Event::ModeSwitch
-    fn choose_representation(&mut self) -> bool {
-        match self.sched {
-            SchedMode::Sparse => false,
-            SchedMode::Dense => true,
-            SchedMode::Hybrid => {
-                let n = self.topo.len();
-                if !self.frontier_dense {
-                    if n > 0 && self.wake_cur.len() * HYBRID_DENSE_DIV >= n {
-                        self.frontier_dense = true; // conversion is free
-                        self.trace_mode_switch(true);
-                    }
-                } else if (self.est_active as usize) * HYBRID_SPARSE_DIV < n {
-                    // dlint::allow(wall-clock, "timing gauge only: feeds the histogram, never steers execution; traced-vs-untraced bit-identity is property-tested")
-                    let t0 = self.timing.then(Instant::now);
-                    self.rebuild_wake_list();
-                    self.frontier_dense = false;
-                    if let Some(t0) = t0 {
-                        self.stats
-                            .timings
-                            .record(timing::CONVERSION_NS, t0.elapsed().as_nanos() as u64);
-                    }
-                    self.trace_mode_switch(false);
-                }
-                self.frontier_dense
-            }
-        }
-    }
-
-    /// Record a scheduler representation switch into the installed
-    /// flight recorder, if any.
-    fn trace_mode_switch(&self, to_dense: bool) {
-        if dobs::plane::enabled() {
-            dobs::plane::record(dobs::Event::ModeSwitch {
-                t_ns: dobs::plane::now_ns(),
-                round: self.round,
-                to_dense,
-                wake_len: self.wake_cur.len() as u64,
-            });
-        }
-    }
-
     /// Execute one synchronous round. Returns the number of messages
     /// sent during the round.
     ///
-    /// Dispatch order: the hybrid judge picks the frontier
-    /// representation, then the cost model picks sequential vs.
-    /// parallel execution for that representation's workload. Both
-    /// decisions are invisible in the results (bit-identity) — the
-    /// judge is additionally deterministic, so the `sched_overhead`
-    /// trace it shapes is reproducible too.
+    /// Dense rounds run the sequential reference sweep. Sparse rounds
+    /// ask the cost model for sequential vs. parallel execution of the
+    /// wake list; that decision is invisible in the results
+    /// (bit-identity).
     pub fn step(&mut self) -> u64 {
         if self.adversary.has_crash_events() {
             self.apply_crash_events();
         }
-        let dense = self.choose_representation();
-        let workload = if dense {
-            self.topo.len()
-        } else {
-            self.wake_cur.len()
-        };
-        let workers = if self.force_parallel {
-            self.threads.min(workload.max(1))
-        } else if self.threads > 1 {
-            self.cost.plan(
-                self.threads,
-                crate::parallel::hw_parallelism(),
-                workload,
-                dense,
-            )
-        } else {
+        let dense = self.sched == SchedMode::Dense;
+        let workload = self.wake_cur.len();
+        let workers = if dense || self.threads == 1 {
             1
+        } else if self.force_parallel {
+            self.threads.min(workload.max(1))
+        } else {
+            self.cost
+                .plan(self.threads, crate::parallel::hw_parallelism(), workload)
         };
         self.peak_workers = self.peak_workers.max(workers);
         // The cost model learns from measured rounds; the timing gauges
         // want the same clock. One read serves both.
-        let observe = self.threads > 1 && !self.force_parallel;
+        let observe = !dense && self.threads > 1 && !self.force_parallel;
         // dlint::allow(wall-clock, "cost-model/gauge observation only: measured durations never steer the round schedule; traced-vs-untraced bit-identity is property-tested")
         let t0 = (observe || self.timing).then(Instant::now);
         // Flight-recorder span for the round (observation only; one
         // thread-local flag read when no recorder is installed).
         let traced = dobs::plane::enabled();
         let span_t0 = if traced { dobs::plane::now_ns() } else { 0 };
-        let sent = match (dense, workers > 1) {
-            (false, false) => self.step_sparse_seq(),
-            (true, false) => self.step_dense_seq(),
-            (false, true) => crate::parallel::step_parallel_sparse(self, workers),
-            (true, true) => crate::parallel::step_parallel_dense(self, workers),
+        let sent = if dense {
+            self.step_dense_seq()
+        } else if workers > 1 {
+            crate::parallel::step_parallel_sparse(self, workers)
+        } else {
+            self.step_sparse_seq()
         };
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
             if observe {
-                self.cost.observe(dense, workers, workload, ns);
+                self.cost.observe(workers, workload, ns);
             }
             if self.timing {
                 let phase = if dense {
@@ -1035,12 +882,6 @@ impl<P: Protocol> Network<P> {
         self.round += 1;
         if schedule {
             std::mem::swap(&mut self.wake_cur, &mut self.wake_next);
-            // While sparse the wake list itself is the exact upcoming
-            // count; keep the estimate fresh anyway for the round after
-            // an upswitch.
-            self.est_active = self.wake_cur.len() as u64;
-        } else {
-            self.est_active = stepped;
         }
         let allocs = self.take_alloc_delta();
         self.stats
@@ -1340,10 +1181,6 @@ impl<P: Protocol> Network<P> {
         if self.uses_wake_list() {
             self.rebuild_wake_list();
         }
-        // A rewire typically wakes a whole damage ball; refresh the
-        // dense-side judge input so a hybrid run re-evaluates from the
-        // post-rewire schedule size rather than a pre-churn count.
-        self.est_active = self.est_active.max(patch.dirty().len() as u64);
     }
 
     /// Rebuild `inbox_count` / `in_flight` from the plane that will be

@@ -10,25 +10,21 @@
 //! locks, no unsafe, no per-round allocation. The previous round's slab
 //! is read shared by all workers.
 //!
-//! Three decisions shape a parallel round; none of them may influence
-//! results (see *Determinism* below):
+//! Only the sparse (wake-list) executor fans out; the dense sweep of
+//! [`crate::SchedMode::Dense`] is the sequential reference. Two
+//! decisions shape a parallel round; neither may influence results
+//! (see *Determinism* below):
 //!
-//! 1. **Representation** — the hybrid judge in
-//!    [`crate::Network::step`] picks the sparse wake list or the dense
-//!    flag sweep *before* execution strategy is considered (threshold
-//!    `active ≥ n / HYBRID_DENSE_DIV`, with hysteresis; see
-//!    [`crate::SchedMode::Hybrid`]).
-//! 2. **Fan-out** — the crate-private `CostModel` decides how many
-//!    workers (if
-//!    any) the round's workload pays for, from *measured* ns/work-unit
-//!    EWMAs of the sequential and parallel paths plus a spawn-cost
-//!    floor. A 1-core box, a tiny network, or a quiet tail never pays
-//!    thread-spawn latency — the pathology an early
-//!    `BENCH_step_plane.json` capture measured as a ~100x slowdown at
-//!    small `n`, previously patched with a hardcoded
+//! 1. **Fan-out** — the crate-private `CostModel` decides how many
+//!    workers (if any) the round's workload pays for, from *measured*
+//!    ns/scheduled-node EWMAs of the sequential and parallel paths
+//!    plus a spawn-cost floor. A 1-core box, a tiny network, or a
+//!    quiet tail never pays thread-spawn latency — the pathology an
+//!    early `BENCH_step_plane.json` capture measured as a ~100x
+//!    slowdown at small `n`, previously patched with a hardcoded
 //!    `PAR_MIN_PER_THREAD` constant and now derived from the model.
-//! 3. **Chunking** — the active list (sparse) or id space (dense) is
-//!    cut into chunks of roughly equal *incident-edge* weight
+//! 2. **Chunking** — the sorted active list is cut into chunks of
+//!    roughly equal *incident-edge* weight
 //!    (`degree + NODE_COST` per node, prefix-summed), not equal node
 //!    count. Equal-count contiguous ranges lose badly on heavy-tailed
 //!    (Chung–Lu / Barabási–Albert) graphs, where one chunk owns the
@@ -45,10 +41,9 @@
 //!
 //! # Determinism
 //!
-//! `step_parallel_*` produce bit-identical results to the sequential
-//! path in every scheduling mode — a property asserted by the tests
-//! below and by the workspace-level `prop_plane`/`conformance` suites —
-//! because
+//! `step_parallel_sparse` produces bit-identical results to both
+//! sequential executors — a property asserted by the tests below and
+//! by the workspace-level `prop_plane`/`conformance` suites — because
 //!
 //! 1. every node draws from its own RNG stream,
 //! 2. inbox order is positional (ports), independent of scheduling,
@@ -57,11 +52,8 @@
 //!    workers record senders per chunk and chunks are merged in node
 //!    order (chunks are id-sorted, so the merge is a concatenation),
 //!    and
-//! 4. the cost model and the hybrid judge only choose *how* the round
-//!    executes, never *what* it computes; the judge is furthermore a
-//!    pure function of node counts, so even the `sched_overhead` trace
-//!    (the one gauge allowed to differ between representations) is
-//!    reproducible run-to-run.
+//! 4. the cost model only chooses *how* the round executes, never
+//!    *what* it computes.
 
 use crate::mailbox::Inbox;
 use crate::network::{split_planes, Ctx, Network, Protocol};
@@ -87,8 +79,8 @@ const SPAWN_COST_NS: f64 = 25_000.0;
 /// before a thread is dedicated to it.
 const SPAWN_MARGIN: f64 = 2.0;
 
-/// Prior ns per unit of work (one scheduled node in sparse rounds, one
-/// id slot in dense rounds) before any round has been measured.
+/// Prior ns per unit of work (one scheduled node) before any round has
+/// been measured.
 /// Deliberately on the cheap side: underestimating per-unit cost makes
 /// the first fan-out *later* than optimal, which is the safe direction.
 const PRIOR_NS_PER_UNIT: f64 = 100.0;
@@ -143,19 +135,18 @@ impl Ewma {
 
 /// Per-round sequential-vs-parallel cost model.
 ///
-/// Tracks measured ns per work unit for each (representation ×
-/// execution path) pair — work units are scheduled nodes in sparse
-/// rounds and id slots in dense rounds — and answers one question per
-/// round: *how many workers does this workload pay for?* The answer is
+/// Tracks measured ns per scheduled node for the sequential and the
+/// parallel path, and answers one question per sparse round: *how
+/// many workers does this workload pay for?* The answer is
 /// purely a performance decision; both paths are bit-identical, so the
 /// model is free to be heuristic and even to learn from wall-clock
 /// noise without ever compromising reproducibility of results.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CostModel {
-    /// Measured sequential cost, indexed by `dense as usize`.
-    seq: [Ewma; 2],
-    /// Measured parallel cost (spawn/join amortized in), same indexing.
-    par: [Ewma; 2],
+    /// Measured sequential cost.
+    seq: Ewma,
+    /// Measured parallel cost (spawn/join amortized in).
+    par: Ewma,
     /// Eligible decisions taken, for the periodic re-probe.
     decisions: u64,
 }
@@ -169,42 +160,33 @@ impl CostModel {
     /// sequential per-unit cost: a worker must carve off at least
     /// `SPAWN_MARGIN · SPAWN_COST_NS` worth of predicted work. This is
     /// what replaced the old hardcoded `PAR_MIN_PER_THREAD = 1024`:
-    /// cheap rounds (idle-heavy sweeps) raise the floor, expensive
-    /// protocol rounds lower it.
-    pub(crate) fn min_work_per_worker(&self, dense: bool) -> usize {
-        let seq_unit = self.seq[dense as usize].or_prior();
+    /// cheap rounds raise the floor, expensive protocol rounds lower
+    /// it.
+    pub(crate) fn min_work_per_worker(&self) -> usize {
+        let seq_unit = self.seq.or_prior();
         (((SPAWN_MARGIN * SPAWN_COST_NS) / seq_unit).ceil() as usize).max(1)
     }
 
     /// Workers worth spawning for `workload` units this round on a
     /// machine with `hw` cores, requested ceiling `requested`.
     /// Returns 1 for "run sequentially".
-    pub(crate) fn plan(
-        &mut self,
-        requested: usize,
-        hw: usize,
-        workload: usize,
-        dense: bool,
-    ) -> usize {
+    pub(crate) fn plan(&mut self, requested: usize, hw: usize, workload: usize) -> usize {
         if requested <= 1 || hw <= 1 || workload == 0 {
             return 1;
         }
-        let cap = requested
-            .min(hw)
-            .min(workload / self.min_work_per_worker(dense));
+        let cap = requested.min(hw).min(workload / self.min_work_per_worker());
         if cap <= 1 {
             return 1;
         }
         self.decisions += 1;
-        let i = dense as usize;
-        if !self.par[i].known() {
+        if !self.par.known() {
             return cap; // explore: the model needs a parallel sample
         }
-        if !self.seq[i].known() {
+        if !self.seq.known() {
             return 1; // symmetric: measure the sequential path once
         }
-        let seq_pred = self.seq[i].value * workload as f64;
-        let par_pred = self.par[i].value * workload as f64;
+        let seq_pred = self.seq.value * workload as f64;
+        let par_pred = self.par.value * workload as f64;
         let par_better = par_pred < seq_pred;
         // Re-probe the losing path periodically so the verdict adapts;
         // `par_better XOR probe` flips the choice on probe ticks.
@@ -217,16 +199,15 @@ impl CostModel {
     }
 
     /// Feed one measured round back into the model.
-    pub(crate) fn observe(&mut self, dense: bool, workers: usize, workload: usize, ns: u64) {
+    pub(crate) fn observe(&mut self, workers: usize, workload: usize, ns: u64) {
         if workload == 0 {
             return;
         }
         let per_unit = ns as f64 / workload as f64;
-        let i = dense as usize;
         if workers > 1 {
-            self.par[i].observe(per_unit);
+            self.par.observe(per_unit);
         } else {
-            self.seq[i].observe(per_unit);
+            self.seq.observe(per_unit);
         }
     }
 }
@@ -237,156 +218,7 @@ fn node_weight(topo: &Topology, v: NodeId) -> u64 {
     (topo.degree(v) + NODE_COST) as u64
 }
 
-/// Dense-mode parallel round: partition `0..n` into contiguous chunks
-/// of roughly equal `ports + NODE_COST·nodes` weight (cut points found
-/// by binary search over the CSR offsets — O(threads · log n), no
-/// prefix-sum array).
-pub(crate) fn step_parallel_dense<P: Protocol>(net: &mut Network<P>, threads: usize) -> u64 {
-    let n = net.topo.len();
-    debug_assert!(threads > 1);
-    let round = net.round;
-    while net.workers.len() < threads {
-        net.workers.push(crate::network::WorkerScratch::default());
-    }
-    let (out_plane, in_plane) = split_planes(&mut net.planes, round);
-    out_plane.advance();
-    let out_gen = out_plane.gen;
-    let topo = &net.topo;
-    let inbox_count = &net.inbox_count[..];
-    let inbox_count_round = &net.inbox_count_round[..];
-
-    // Weighted prefix position of node v: ports before v plus the
-    // fixed per-node cost. Monotone in v, so cuts binary-search it.
-    let wpos = |v: usize| -> u64 {
-        let ports = if v < n {
-            topo.port_base(v as NodeId)
-        } else {
-            topo.total_ports()
-        };
-        ports as u64 + (NODE_COST * v) as u64
-    };
-    let total_w = wpos(n);
-    let cut = |k: usize| -> usize {
-        if k >= threads {
-            return n;
-        }
-        let target = total_w * k as u64 / threads as u64;
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if wpos(mid) < target {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    };
-
-    // When a flight recorder is installed, workers stamp their span
-    // bounds into scratch against this shared clock base (they cannot
-    // reach the main thread's recorder); the merge emits the events.
-    let trace_epoch = dobs::plane::epoch();
-    let mut spawned = 0usize;
-    std::thread::scope(|scope| {
-        let mut nodes_rest = &mut net.nodes[..];
-        let mut rngs_rest = &mut net.rngs[..];
-        let mut halted_rest = &mut net.halted[..];
-        let mut dozing_rest = &mut net.dozing[..];
-        let mut stamp_rest = &mut out_plane.stamp[..];
-        let mut msg_rest = &mut out_plane.msg[..];
-        let mut scratch_rest = &mut net.workers[..threads];
-        let in_plane = &*in_plane;
-        let mut base = 0usize;
-        let mut port_base = 0usize;
-        for k in 1..=threads {
-            let end = cut(k);
-            if end <= base {
-                continue; // a hub swallowed this cut's weight share
-            }
-            let take = end - base;
-            let (nodes_c, nr) = nodes_rest.split_at_mut(take);
-            let (rngs_c, rr) = rngs_rest.split_at_mut(take);
-            let (halted_c, hr) = halted_rest.split_at_mut(take);
-            let (dozing_c, dr) = dozing_rest.split_at_mut(take);
-            // Contiguous nodes own a contiguous slab range.
-            let port_end = if end < n {
-                topo.port_base(end as NodeId)
-            } else {
-                topo.total_ports()
-            };
-            let (stamp_c, sr) = stamp_rest.split_at_mut(port_end - port_base);
-            let (msg_c, mr) = msg_rest.split_at_mut(port_end - port_base);
-            let (scratch_c, tr) = scratch_rest.split_at_mut(1);
-            nodes_rest = nr;
-            rngs_rest = rr;
-            halted_rest = hr;
-            dozing_rest = dr;
-            stamp_rest = sr;
-            msg_rest = mr;
-            scratch_rest = tr;
-            let first = base;
-            let chunk_port_base = port_base;
-            base = end;
-            port_base = port_end;
-            spawned += 1;
-            scope.spawn(move || {
-                let scratch = &mut scratch_c[0];
-                scratch.prepare(nodes_c.len());
-                if let Some(epoch) = trace_epoch {
-                    scratch.span_t0_ns = epoch.elapsed().as_nanos() as u64;
-                }
-                for i in 0..nodes_c.len() {
-                    if halted_c[i] {
-                        continue;
-                    }
-                    let v = (first + i) as NodeId;
-                    let count = if inbox_count_round[v as usize] == round {
-                        inbox_count[v as usize]
-                    } else {
-                        0
-                    };
-                    if dozing_c[i] && count == 0 {
-                        continue; // asleep and no mail: contract says skip
-                    }
-                    scratch.stepped += 1;
-                    dozing_c[i] = false;
-                    let inbox = Inbox::new(topo, v, in_plane, count);
-                    let nb = topo.port_base(v) - chunk_port_base;
-                    let deg = topo.degree(v);
-                    let mut sent_any = false;
-                    let mut ctx = Ctx::new(
-                        v,
-                        round,
-                        topo,
-                        &mut rngs_c[i],
-                        &mut stamp_c[nb..nb + deg],
-                        &mut msg_c[nb..nb + deg],
-                        out_gen,
-                        &mut sent_any,
-                        &mut halted_c[i],
-                        &mut dozing_c[i],
-                    );
-                    nodes_c[i].on_round(&mut ctx, inbox);
-                    if halted_c[i] {
-                        scratch.halts += 1;
-                    }
-                    if sent_any {
-                        scratch.touched.push(v);
-                    }
-                }
-                if let Some(epoch) = trace_epoch {
-                    scratch.span_t1_ns = epoch.elapsed().as_nanos() as u64;
-                }
-            });
-        }
-    });
-
-    let stepped = merge_worker_scratch(net, spawned, false);
-    net.finish_round(stepped, n as u64 - stepped)
-}
-
-/// Sparse-mode parallel round: partition the sorted **active list**
+/// Parallel round: partition the sorted **active list**
 /// into contiguous segments of roughly equal degree weight
 /// (`Σ degree + NODE_COST` per segment), so a Chung–Lu hub and its
 /// star do not land on one worker while the rest idle.
@@ -418,7 +250,9 @@ pub(crate) fn step_parallel_sparse<P: Protocol>(net: &mut Network<P>, threads: u
     // chunk k ends once the running weight crosses k/threads of it.
     let total_w: u64 = wake_cur.iter().map(|&v| node_weight(topo, v)).sum();
 
-    // Shared clock base for worker span stamps (see the dense path).
+    // When a flight recorder is installed, workers stamp their span
+    // bounds into scratch against this shared clock base (they cannot
+    // reach the main thread's recorder); the merge emits the events.
     let trace_epoch = dobs::plane::epoch();
     let mut spawned = 0usize;
     std::thread::scope(|scope| {
@@ -554,7 +388,7 @@ pub(crate) fn step_parallel_sparse<P: Protocol>(net: &mut Network<P>, threads: u
         }
     });
 
-    let stepped = merge_worker_scratch(net, spawned, true);
+    let stepped = merge_worker_scratch(net, spawned);
     net.finish_round(stepped, active as u64 - stepped)
 }
 
@@ -563,7 +397,7 @@ pub(crate) fn step_parallel_sparse<P: Protocol>(net: &mut Network<P>, threads: u
 /// global node order delivery depends on), compact the per-chunk wake
 /// windows of `wake_next` in the same order, and settle the halt
 /// counter. Stamps were already written by the owning workers.
-fn merge_worker_scratch<P: Protocol>(net: &mut Network<P>, spawned: usize, sparse: bool) -> u64 {
+fn merge_worker_scratch<P: Protocol>(net: &mut Network<P>, spawned: usize) -> u64 {
     // dlint::allow(wall-clock, "timing gauge only: merge duration feeds the histogram, never steers execution")
     let t0 = net.timing.then(Instant::now);
     let traced = dobs::plane::enabled();
@@ -583,11 +417,9 @@ fn merge_worker_scratch<P: Protocol>(net: &mut Network<P>, spawned: usize, spars
         net.touched.extend_from_slice(&w.touched);
         stepped += w.stepped;
         net.live -= w.halts as usize;
-        if sparse {
-            net.wake_next.copy_within(start..start + w.wake_len, write);
-            write += w.wake_len;
-            start += w.wake_cap;
-        }
+        net.wake_next.copy_within(start..start + w.wake_len, write);
+        write += w.wake_len;
+        start += w.wake_cap;
         if traced {
             dobs::plane::record(dobs::Event::WorkerSpan {
                 round: span_round,
@@ -599,9 +431,7 @@ fn merge_worker_scratch<P: Protocol>(net: &mut Network<P>, spawned: usize, spars
         }
     }
     net.workers = workers;
-    if sparse {
-        net.wake_next.truncate(write);
-    }
+    net.wake_next.truncate(write);
     if let Some(t0) = t0 {
         net.stats
             .timings
@@ -621,7 +451,7 @@ fn merge_worker_scratch<P: Protocol>(net: &mut Network<P>, spawned: usize, spars
 mod tests {
     use super::CostModel;
     use crate::network::SchedMode;
-    use crate::{Ctx, ExecCfg, Inbox, Network, Protocol, Topology};
+    use crate::{Ctx, ExecCfg, FaultPlan, Inbox, NetStats, Network, Protocol, Topology};
 
     /// A protocol with both randomness and message traffic, to stress
     /// determinism: nodes gossip random tokens and keep a running hash.
@@ -672,8 +502,8 @@ mod tests {
         Topology::from_edges(n, &edges)
     }
 
-    fn all_scheds() -> [SchedMode; 3] {
-        [SchedMode::Sparse, SchedMode::Dense, SchedMode::Hybrid]
+    fn all_scheds() -> [SchedMode; 2] {
+        [SchedMode::Sparse, SchedMode::Dense]
     }
 
     #[test]
@@ -706,10 +536,10 @@ mod tests {
         let topo = random_topo(48, 5);
         let mk = || (0..48).map(|_| Gossip { acc: 0 }).collect::<Vec<_>>();
 
-        let mut seq = Network::new(topo.clone(), mk(), 23).with_message_loss(0.15);
+        let mut seq = Network::new(topo.clone(), mk(), 23).with_faults(FaultPlan::drop(0.15));
         seq.run_until_halt(100);
         let mut par = Network::new(topo.clone(), mk(), 23)
-            .with_message_loss(0.15)
+            .with_faults(FaultPlan::drop(0.15))
             .with_threads(4);
         par.run_until_halt(100);
         assert_eq!(seq.dropped(), par.dropped(), "loss RNG streams must align");
@@ -732,7 +562,8 @@ mod tests {
     /// otherwise route every test-sized (and every single-core-machine)
     /// round through the sequential path, leaving the partitioners
     /// untested. `force_parallel` spawns one worker per requested
-    /// thread regardless of machine or workload.
+    /// thread regardless of machine or workload — except in dense
+    /// rounds, which always run sequentially.
     #[test]
     fn forced_workers_stay_identical_in_all_modes() {
         let n = 64;
@@ -757,7 +588,11 @@ mod tests {
                 assert_eq!(seq.stats().messages, par.stats().messages);
                 assert_eq!(seq.stats().node_steps, par.stats().node_steps);
                 assert_eq!(seq.stats().peak_inbox, par.stats().peak_inbox);
-                assert!(par.peak_workers() >= 2, "no round actually fanned out");
+                assert_eq!(
+                    par.peak_workers() >= 2,
+                    sched == SchedMode::Sparse,
+                    "{sched:?}: only sparse rounds fan out"
+                );
             }
         }
     }
@@ -833,33 +668,58 @@ mod tests {
         let mk = || (0..n).map(|_| Patchy { acc: 0 }).collect::<Vec<_>>();
         let mut seq = Network::new(topo.clone(), mk(), 31);
         seq.run_rounds(30);
-        for sched in [SchedMode::Sparse, SchedMode::Hybrid] {
-            for threads in [2, 5, 8] {
-                let mut par = Network::new(topo.clone(), mk(), 31)
-                    .with_threads(threads)
-                    .with_sched(sched);
-                par.force_parallel = true;
-                par.run_rounds(30);
-                assert!(
-                    seq.nodes()
-                        .iter()
-                        .zip(par.nodes())
-                        .all(|(a, b)| a.acc == b.acc),
-                    "{threads} forced workers ({sched:?}) diverged on a gappy active list"
-                );
-                if sched == SchedMode::Sparse {
-                    assert_eq!(
-                        seq.stats(),
-                        par.stats(),
-                        "{threads} workers: stats diverged"
-                    );
-                } else {
-                    // Hybrid may charge different sched_overhead.
-                    assert_eq!(seq.stats().messages, par.stats().messages);
-                    assert_eq!(seq.stats().node_steps, par.stats().node_steps);
-                }
-            }
+        for threads in [2, 5, 8] {
+            let mut par = Network::new(topo.clone(), mk(), 31).with_threads(threads);
+            par.force_parallel = true;
+            par.run_rounds(30);
+            assert!(
+                seq.nodes()
+                    .iter()
+                    .zip(par.nodes())
+                    .all(|(a, b)| a.acc == b.acc),
+                "{threads} forced workers diverged on a gappy active list"
+            );
+            assert_eq!(
+                seq.stats(),
+                par.stats(),
+                "{threads} workers: stats diverged"
+            );
         }
+    }
+
+    /// `NetStats` minus the `sched_overhead` gauge, the one field the
+    /// dense sweep charges differently from the sparse drain.
+    fn without_sched_overhead(s: &NetStats) -> NetStats {
+        let mut s = s.clone();
+        s.sched_overhead = 0;
+        for r in &mut s.per_round {
+            r.sched_overhead = 0;
+        }
+        s
+    }
+
+    /// Dense rounds are the sequential reference executor: even a
+    /// config that forces eight workers steps them inline, and the run
+    /// equals the sequential sparse one bit-for-bit.
+    #[test]
+    fn dense_rounds_never_fan_out() {
+        let topo = random_topo(64, 7);
+        let mk = || (0..64).map(|_| Gossip { acc: 0 }).collect::<Vec<_>>();
+        let mut seq = Network::new(topo.clone(), mk(), 13);
+        seq.run_until_halt(100);
+        let mut dense =
+            Network::new(topo, mk(), 13).with_cfg(ExecCfg::parallel(8).dense().forced());
+        dense.run_until_halt(100);
+        assert_eq!(dense.peak_workers(), 1, "a dense round fanned out");
+        assert!(seq
+            .nodes()
+            .iter()
+            .zip(dense.nodes())
+            .all(|(a, b)| a.acc == b.acc));
+        assert_eq!(
+            without_sched_overhead(seq.stats()),
+            without_sched_overhead(dense.stats())
+        );
     }
 
     #[test]
@@ -883,8 +743,7 @@ mod tests {
     #[test]
     fn cost_model_never_spawns_on_one_core() {
         let mut m = CostModel::new();
-        assert_eq!(m.plan(8, 1, 1 << 20, false), 1);
-        assert_eq!(m.plan(8, 1, 1 << 20, true), 1);
+        assert_eq!(m.plan(8, 1, 1 << 20), 1);
     }
 
     #[test]
@@ -892,34 +751,34 @@ mod tests {
         let mut m = CostModel::new();
         // With the default prior, a handful of nodes never covers the
         // spawn cost.
-        assert_eq!(m.plan(8, 8, 10, false), 1);
-        assert_eq!(m.plan(8, 8, 0, false), 1);
+        assert_eq!(m.plan(8, 8, 10), 1);
+        assert_eq!(m.plan(8, 8, 0), 1);
         // A huge workload fans out up to the requested/core ceiling.
-        assert_eq!(m.plan(8, 8, 1 << 20, false), 8);
-        assert_eq!(m.plan(4, 16, 1 << 20, false), 4);
-        assert_eq!(m.plan(16, 4, 1 << 20, false), 4);
+        assert_eq!(m.plan(8, 8, 1 << 20), 8);
+        assert_eq!(m.plan(4, 16, 1 << 20), 4);
+        assert_eq!(m.plan(16, 4, 1 << 20), 4);
     }
 
     #[test]
     fn workload_floor_derives_from_measured_cost() {
         let mut m = CostModel::new();
-        let prior_floor = m.min_work_per_worker(false);
-        // Cheap measured rounds (5 ns/node: idle-skip sweeps) raise the
+        let prior_floor = m.min_work_per_worker();
+        // Cheap measured rounds (5 ns/node) raise the
         // floor — more nodes are needed to pay for one spawn…
         for _ in 0..8 {
-            m.observe(false, 1, 100_000, 500_000); // 5 ns/unit
+            m.observe(1, 100_000, 500_000); // 5 ns/unit
         }
-        assert!(m.min_work_per_worker(false) > prior_floor);
+        assert!(m.min_work_per_worker() > prior_floor);
         // …and a workload that fanned out under the prior now stays
         // sequential.
         let w = prior_floor * 2;
-        assert_eq!(m.plan(2, 8, w, false), 1);
+        assert_eq!(m.plan(2, 8, w), 1);
         // Expensive rounds (10 µs/node) lower the floor instead.
         let mut m = CostModel::new();
         for _ in 0..8 {
-            m.observe(false, 1, 100, 1_000_000); // 10 µs/unit
+            m.observe(1, 100, 1_000_000); // 10 µs/unit
         }
-        assert!(m.min_work_per_worker(false) < prior_floor);
+        assert!(m.min_work_per_worker() < prior_floor);
     }
 
     #[test]
@@ -928,21 +787,21 @@ mod tests {
         let w = 1 << 20;
         // Parallel measured 2x slower per unit than sequential.
         for _ in 0..8 {
-            m.observe(false, 1, w, 100 * w as u64);
-            m.observe(false, 8, w, 200 * w as u64);
+            m.observe(1, w, 100 * w as u64);
+            m.observe(8, w, 200 * w as u64);
         }
         // Decisions 1..=255 all pick sequential; 256 is a probe tick.
         for _ in 0..100 {
-            assert_eq!(m.plan(8, 8, w, false), 1);
+            assert_eq!(m.plan(8, 8, w), 1);
         }
         // And the reverse: parallel measured faster keeps fanning out.
         let mut m = CostModel::new();
         for _ in 0..8 {
-            m.observe(false, 1, w, 100 * w as u64);
-            m.observe(false, 8, w, 25 * w as u64);
+            m.observe(1, w, 100 * w as u64);
+            m.observe(8, w, 25 * w as u64);
         }
         for _ in 0..100 {
-            assert_eq!(m.plan(8, 8, w, false), 8);
+            assert_eq!(m.plan(8, 8, w), 8);
         }
     }
 
@@ -951,10 +810,10 @@ mod tests {
         let mut m = CostModel::new();
         let w = 1 << 20;
         for _ in 0..8 {
-            m.observe(false, 1, w, 100 * w as u64);
-            m.observe(false, 8, w, 200 * w as u64); // par loses
+            m.observe(1, w, 100 * w as u64);
+            m.observe(8, w, 200 * w as u64); // par loses
         }
-        let plans: Vec<usize> = (0..600).map(|_| m.plan(8, 8, w, false)).collect();
+        let plans: Vec<usize> = (0..600).map(|_| m.plan(8, 8, w)).collect();
         let probes = plans.iter().filter(|&&p| p > 1).count();
         assert!(
             (2..=3).contains(&probes),

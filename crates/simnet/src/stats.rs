@@ -33,27 +33,23 @@ pub struct RoundTrace {
 /// Histogram names of the per-phase wall-clock breakdown recorded
 /// into [`NetStats::timings`] when [`crate::ExecCfg::timing`] is set,
 /// in the style of parlay's LDD `BREAKDOWN` timers: where does a round
-/// actually spend its time once the scheduler is hybrid?
+/// actually spend its time — stepping, or merging worker output?
 ///
-/// One sample is recorded per round (or per conversion/merge), so
+/// One sample is recorded per round (or per merge), so
 /// each histogram carries the *distribution* — `sum()` recovers the
 /// old scalar accumulators, `p50()`/`p99()` expose the per-round tail
 /// the scalars hid. The bespoke `PhaseTimings` struct this replaces
 /// lived here until the `dobs` registry subsumed it.
 pub mod timing {
-    /// Rounds stepped in the sparse (wake-list) representation,
-    /// including the wake-list sort and drain. One sample per round.
+    /// Rounds stepped by the sparse (wake-list) executor, including
+    /// the wake-list sort and drain. One sample per round.
     pub const SPARSE_UPDATE_NS: &str = "sparse_update_ns";
-    /// Rounds stepped in the dense (flag-sweep) representation. One
-    /// sample per round.
+    /// Rounds stepped by the dense (flag-sweep) reference executor.
+    /// One sample per round.
     pub const DENSE_UPDATE_NS: &str = "dense_update_ns";
-    /// Representation conversions (the dense→sparse wake-list
-    /// rebuild; sparse→dense is free and charges nothing). One sample
-    /// per downswitch.
-    pub const CONVERSION_NS: &str = "conversion_ns";
     /// The parallel executor's per-worker scratch merge (sender
     /// lists, wake windows, halt counters) after the join. Also
-    /// included in the update samples above, which time the whole
+    /// included in the sparse update samples, which time the whole
     /// round; this isolates the sequential tail. One sample per
     /// parallel round.
     pub const MERGE_NS: &str = "merge_ns";

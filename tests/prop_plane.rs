@@ -200,8 +200,8 @@ fn dense_vs_sparse_bit_identical_all_algorithms() {
             let sides_ref = sides.as_deref();
             let sparse = session_run(&g, sides_ref, alg, 31, ExecCfg::sequential());
             let dense = session_run(&g, sides_ref, alg, 31, ExecCfg::sequential().dense());
-            // 8-thread sparse against 8-thread dense as well: the
-            // active-list partitioner must agree with the dense chunks.
+            // A dense config that requests 8 threads still steps
+            // sequentially (only sparse rounds fan out) and must agree.
             let dense_par = session_run(&g, sides_ref, alg, 31, ExecCfg::parallel(8).dense());
             assert_eq!(
                 sparse.matching, dense.matching,
@@ -224,7 +224,7 @@ fn dense_vs_sparse_bit_identical_all_algorithms() {
 /// power-law graph, whose node 0 is a heavy hub. This is the workload
 /// the degree-weighted chunker exists for — contiguous equal-count
 /// chunks would put the hub's whole port range in one worker — and the
-/// matrix asserts that chunking, the hybrid judge, and forced
+/// matrix asserts that chunking, the dense reference sweep, and forced
 /// multi-worker execution all stay bit-identical to the sequential
 /// sparse reference: same matching, same `NetStats` minus the
 /// sched_overhead/timings exemptions.
@@ -245,9 +245,10 @@ fn chung_lu_hub_scheduler_matrix_bit_identical() {
             mwm_box: MwmBox::LocalDominant,
         },
     ];
-    // {seq, 2, 8 threads} × {sparse, dense, hybrid}; threaded runs are
-    // forced so the partitioners really fan out on a 40-node fixture
-    // (the cost model would otherwise route them sequentially).
+    // {seq, 2, 8 threads} × {sparse, dense}; threaded sparse runs are
+    // forced so the partitioner really fans out on a 40-node fixture
+    // (the cost model would otherwise route them sequentially); dense
+    // runs step sequentially whatever the thread count.
     type SchedFn = fn(ExecCfg) -> ExecCfg;
     let execs = |sched_of: SchedFn| {
         [
@@ -256,11 +257,7 @@ fn chung_lu_hub_scheduler_matrix_bit_identical() {
             sched_of(ExecCfg::parallel(8)).forced(),
         ]
     };
-    let scheds: [(&str, SchedFn); 3] = [
-        ("sparse", |c| c),
-        ("dense", ExecCfg::dense),
-        ("hybrid", ExecCfg::hybrid),
-    ];
+    let scheds: [(&str, SchedFn); 2] = [("sparse", |c| c), ("dense", ExecCfg::dense)];
     for alg in algs {
         let g = if weighted_input(&alg) {
             apply_weights(&g0, WeightModel::Uniform(0.5, 4.0), 11)
@@ -296,9 +293,9 @@ fn chung_lu_hub_scheduler_matrix_bit_identical() {
 /// one — the *full* `NetStats` (no masking at all: both runs use the
 /// same `ExecCfg`, so even the documented observability exemptions,
 /// `sched_overhead` and the `timings` registry, must agree) and the
-/// matching — across {sequential, 8 forced threads} × {sparse, dense,
-/// hybrid}. The traced runs must also actually record events, so the
-/// equality is not vacuous.
+/// matching — across {sequential, 8 forced threads} × {sparse, dense}.
+/// The traced runs must also actually record events, so the equality
+/// is not vacuous.
 #[test]
 fn traced_vs_untraced_bit_identical() {
     let _serial = HOOK_LOCK.lock().unwrap();
@@ -312,11 +309,7 @@ fn traced_vs_untraced_bit_identical() {
         },
     ];
     type SchedFn = fn(ExecCfg) -> ExecCfg;
-    let scheds: [(&str, SchedFn); 3] = [
-        ("sparse", |c| c),
-        ("dense", ExecCfg::dense),
-        ("hybrid", ExecCfg::hybrid),
-    ];
+    let scheds: [(&str, SchedFn); 2] = [("sparse", |c| c), ("dense", ExecCfg::dense)];
     let mut events_total = 0u64;
     for alg in algs {
         let g = if weighted_input(&alg) {
@@ -375,10 +368,7 @@ fn dense_vs_sparse_bit_identical_under_loss() {
             };
             let sides_ref = sides.as_deref();
             let lossy = |dense: bool| {
-                let cfg = ExecCfg {
-                    loss: 0.1,
-                    ..ExecCfg::sequential()
-                };
+                let cfg = ExecCfg::sequential().with_faults(FaultPlan::drop(0.1));
                 if dense {
                     cfg.dense()
                 } else {
@@ -428,10 +418,7 @@ fn sequential_vs_parallel_bit_identical_under_loss() {
                 g0.clone()
             };
             let sides_ref = sides.as_deref();
-            let lossy = |threads| ExecCfg {
-                loss: 0.1,
-                ..ExecCfg::parallel(threads)
-            };
+            let lossy = |threads| ExecCfg::parallel(threads).with_faults(FaultPlan::drop(0.1));
             let seq = run_caught(&g, sides_ref, alg, 7, lossy(1));
             let par = run_caught(&g, sides_ref, alg, 7, lossy(8));
             outcomes.push((label.clone(), alg, seq, par));
@@ -458,8 +445,8 @@ fn sequential_vs_parallel_bit_identical_under_loss() {
 
 /// The adversary-plane determinism gate: same seed + same `FaultPlan`
 /// ⇒ bit-identical matchings and (masked) `NetStats` across every
-/// executor ({seq, 2, 8 threads}) × every scheduler ({sparse, dense,
-/// hybrid}), for representative algorithms and for every fault class —
+/// executor ({seq, 2, 8 threads}) × every scheduler ({sparse, dense}),
+/// for representative algorithms and for every fault class —
 /// drop, delay+stall, and crash+burst+budget. None of these plans may
 /// panic: the per-algorithm bounded-run extraction is part of the
 /// contract.
@@ -510,79 +497,35 @@ fn adversary_plans_bit_identical_across_executors_and_schedulers() {
     ];
     for (plan_label, plan) in &plans {
         for (label, g, sides, alg) in &cases {
-            let mk = |threads: usize, sched: usize| {
+            let mk = |threads: usize, dense: bool| {
                 let cfg = ExecCfg::parallel(threads).with_faults(*plan);
-                match sched {
-                    0 => cfg,
-                    1 => cfg.dense(),
-                    _ => cfg.hybrid(),
+                if dense {
+                    cfg.dense()
+                } else {
+                    cfg
                 }
             };
-            let base = session_run(g, sides.as_deref(), *alg, 29, mk(1, 0));
+            let base = session_run(g, sides.as_deref(), *alg, 29, mk(1, false));
             let base_edges = base.matching.edge_ids(g);
             let base_stats = masked(&base.stats);
             for threads in [1usize, 2, 8] {
-                for sched in [0usize, 1, 2] {
-                    if (threads, sched) == (1, 0) {
+                for dense in [false, true] {
+                    if (threads, dense) == (1, false) {
                         continue;
                     }
-                    let r = session_run(g, sides.as_deref(), *alg, 29, mk(threads, sched));
+                    let r = session_run(g, sides.as_deref(), *alg, 29, mk(threads, dense));
                     assert_eq!(
                         r.matching.edge_ids(g),
                         base_edges,
-                        "{label} / {plan_label} / {threads}t sched{sched}: matching diverged"
+                        "{label} / {plan_label} / {threads}t dense={dense}: matching diverged"
                     );
                     assert_eq!(
                         masked(&r.stats),
                         base_stats,
-                        "{label} / {plan_label} / {threads}t sched{sched}: NetStats diverged"
+                        "{label} / {plan_label} / {threads}t dense={dense}: NetStats diverged"
                     );
                 }
             }
-        }
-    }
-}
-
-/// The legacy `ExecCfg::loss` knob and an explicit
-/// `FaultPlan::drop(p)` are the *same* plan (`effective_faults`
-/// resolves both to one drop probability on one RNG stream), so
-/// loss-seeded runs reproduce bit-for-bit through the adversary plane.
-#[test]
-fn legacy_loss_knob_is_bit_identical_to_adversary_drop_plan() {
-    let _serial = HOOK_LOCK.lock().unwrap();
-    let hook = HookGuard::silence();
-    let mut outcomes = Vec::new();
-    for (label, g0, sides) in topologies() {
-        for alg in algorithms() {
-            if !applicable(&alg, &sides) {
-                continue;
-            }
-            let g = if weighted_input(&alg) {
-                apply_weights(&g0, WeightModel::Uniform(0.5, 4.0), 11)
-            } else {
-                g0.clone()
-            };
-            let sides_ref = sides.as_deref();
-            let legacy = ExecCfg {
-                loss: 0.1,
-                ..ExecCfg::sequential()
-            };
-            let planned = ExecCfg::sequential().with_faults(FaultPlan::drop(0.1));
-            let a = run_caught(&g, sides_ref, alg, 13, legacy);
-            let b = run_caught(&g, sides_ref, alg, 13, planned);
-            outcomes.push((label.clone(), alg, a, b));
-        }
-    }
-    drop(hook);
-    for (label, alg, a, b) in outcomes {
-        assert_eq!(
-            a.is_ok(),
-            b.is_ok(),
-            "{label} / {alg:?}: legacy loss and drop plan disagreed on panicking"
-        );
-        if let (Ok(a), Ok(b)) = (a, b) {
-            assert_eq!(a.0, b.0, "{label} / {alg:?}: matchings diverged");
-            assert_eq!(a.1, b.1, "{label} / {alg:?}: NetStats diverged");
         }
     }
 }
