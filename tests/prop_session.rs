@@ -115,13 +115,7 @@ fn stats_digest(s: &NetStats) -> u64 {
         timings: _,
         per_round,
     } = s;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut word = |w: u64| {
-        for b in w.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for &w in [
+    let head = [
         rounds,
         messages,
         bits,
@@ -134,23 +128,43 @@ fn stats_digest(s: &NetStats) -> u64 {
         delayed,
         deferred_bits,
         crashed,
-    ] {
-        word(w);
-    }
-    word(per_round.len() as u64);
-    for RoundTrace {
-        messages,
-        peak_inbox,
-        plane_allocs,
-        active,
-        sched_overhead,
-    } in per_round
-    {
-        for &w in [messages, peak_inbox, plane_allocs, active, sched_overhead] {
-            word(w);
+    ];
+    let rows = per_round.iter().flat_map(
+        |RoundTrace {
+             messages,
+             peak_inbox,
+             plane_allocs,
+             active,
+             sched_overhead,
+         }| [messages, peak_inbox, plane_allocs, active, sched_overhead],
+    );
+    fnv(head
+        .into_iter()
+        .copied()
+        .chain([per_round.len() as u64])
+        .chain(rows.copied()))
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |mut h, w| {
+        for b in w.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
+        h
+    })
+}
+
+/// [`stats_digest`] with the scheduler-overhead gauges zeroed (whole
+/// run and per round): they model worker fan-out, so they differ
+/// between the sequential and the forced-parallel executor.
+fn stats_digest_unsched(s: &NetStats) -> u64 {
+    let mut s = s.clone();
+    s.sched_overhead = 0;
+    for row in &mut s.per_round {
+        row.sched_overhead = 0;
     }
-    h
+    stats_digest(&s)
 }
 
 /// Pinned output of one `all_algorithms()` × seed case: the label, the
@@ -422,6 +436,118 @@ fn rewire_repair_matches_repair_shim() {
         );
         assert_eq!(after.stats.messages - before.messages, golden.messages);
         assert_eq!(after.stats.bits - before.bits, golden.bits);
+    }
+}
+
+/// Generic's ball gathering (Algorithm 2) under every fault class:
+/// k ∈ {1, 2, 3} × {no faults, drop, delay, crash} on a gnp and a
+/// Chung–Lu graph, each run on the sequential and the forced-parallel
+/// executor. Both executors must reproduce the pinned matched edge ids
+/// (as a [`fnv`] digest) and the full `NetStats` digest, per-round rows
+/// included and scheduler overhead masked.
+#[test]
+fn generic_gathering_goldens_across_fault_plans() {
+    use bench_harness::workloads::Family;
+    use distributed_matching::simnet::FaultPlan;
+    let graphs = [
+        gnp(120, 8.0 / 120.0, 31),
+        Family::ChungLu.instantiate(120, 32).graph,
+    ];
+    let plans = [
+        FaultPlan::NONE,
+        FaultPlan::drop(0.1),
+        FaultPlan::NONE.with_delay(3),
+        FaultPlan::NONE.with_crash(0.02, 0),
+    ];
+    let mut goldens = GATHER_GOLDENS.iter();
+    for (gi, g) in graphs.iter().enumerate() {
+        for k in 1..=3 {
+            for &plan in &plans {
+                let &(edges, digest) = goldens.next().expect("one golden per case");
+                for cfg in [ExecCfg::sequential(), ExecCfg::parallel(4).forced()] {
+                    let r = Session::on(g)
+                        .algorithm(Algorithm::Generic { k })
+                        .seed(5)
+                        .exec(cfg)
+                        .adversary(plan)
+                        .build()
+                        .run_to_completion();
+                    let case = format!("graph {gi}, k {k}, plan {plan:?}, {cfg:?}");
+                    assert_eq!(
+                        fnv(r.matching.edge_ids(g).into_iter().map(u64::from)),
+                        edges,
+                        "{case}: matching diverged"
+                    );
+                    assert_eq!(
+                        stats_digest_unsched(&r.stats),
+                        digest,
+                        "{case}: NetStats diverged (incl. per-round rows)"
+                    );
+                }
+            }
+        }
+    }
+    assert!(goldens.next().is_none(), "every golden checked");
+}
+
+/// In graph × k × plan order of
+/// [`generic_gathering_goldens_across_fault_plans`]: (edge-id digest,
+/// unsched stats digest).
+const GATHER_GOLDENS: [(u64, u64); 24] = [
+    // gnp(120, d̄=8)
+    (0x5b1d272645cddc67, 0xf1bced02a8f9e7a1),
+    (0x5b1d272645cddc67, 0xfc18222f7e39cac2),
+    (0x5b1d272645cddc67, 0x4cadbbb8273aa308),
+    (0x5b1d272645cddc67, 0xe75b9831ae192804),
+    (0xc37a8361dc62849c, 0xdac02253288b46b8),
+    (0xc37a8361dc62849c, 0x1d8fe28e78980e5e),
+    (0xc37a8361dc62849c, 0xde1dd5561dd1df94),
+    (0xc37a8361dc62849c, 0xa12db82cd5adf430),
+    (0xa257b6aa2d4c88c1, 0x7821c5b77caeccce),
+    (0xa257b6aa2d4c88c1, 0x5dcf18342d62dd15),
+    (0xa257b6aa2d4c88c1, 0xff8a34b26582e8ec),
+    (0xa257b6aa2d4c88c1, 0x42b1bb2098f91ca2),
+    // Chung–Lu(120)
+    (0x90fd717a720ef7f5, 0x9a8dbd24d18fe46b),
+    (0x90fd717a720ef7f5, 0xe03ef4ef07758a20),
+    (0x90fd717a720ef7f5, 0x96cf94eddf0c607a),
+    (0x90fd717a720ef7f5, 0xe75c6a6fda50d790),
+    (0xf7ef4707d0a8c3b1, 0x73fa37a1c1b31262),
+    (0xf7ef4707d0a8c3b1, 0xe290f5a2fc64e56c),
+    (0xf7ef4707d0a8c3b1, 0x5944a7ff95d7f022),
+    (0xf7ef4707d0a8c3b1, 0xbf755e085c2afe59),
+    (0x8b1a5a5d623f985f, 0xdf8da17a106b1bf4),
+    (0x8b1a5a5d623f985f, 0xe618b03f5fa02652),
+    (0x8b1a5a5d623f985f, 0x5877bc8fcd9aac65),
+    (0x8b1a5a5d623f985f, 0x5a9bc0c08be37d0a),
+];
+
+/// `weighted::full_approx` runs the same gathering once per improvement
+/// iteration; its charged statistics and final weight are pinned.
+#[test]
+fn full_approx_gathering_golden() {
+    use distributed_matching::dmatch::weighted::full_approx;
+    let goldens = [
+        (41, 1, 0x8e97a94bc0837364, 44.576946022547546),
+        (43, 2, 0x251cb549dadb3c03, 39.84923590660303),
+    ];
+    for (graph_seed, seed, digest, weight) in goldens {
+        let g = apply_weights(
+            &gnp(30, 0.15, graph_seed),
+            WeightModel::Uniform(0.5, 4.0),
+            graph_seed + 1,
+        );
+        let r = full_approx::run(&g, 2, 0.02, seed);
+        assert_eq!(
+            stats_digest(&r.stats),
+            digest,
+            "seed {seed}: NetStats diverged"
+        );
+        assert_eq!(
+            r.matching.weight(&g).to_bits(),
+            f64::to_bits(weight),
+            "seed {seed}: weight diverged"
+        );
     }
 }
 
