@@ -4,11 +4,11 @@
 //!
 //! 1. **Ball gathering (Algorithm 2, real messages).** For `2ℓ+1`
 //!    rounds every node floods the *delta* of its local view (edges
-//!    with matched flags, free-vertex flags). After the phase, node `v`
-//!    knows its distance-`2ℓ` ball — enough to see every augmenting
-//!    path through `v` *and* every path conflicting with one of those.
-//!    Message sizes are the real encoded view deltas, exactly the
-//!    `O(|V|+|E|)`-bit messages Theorem 3.1 allows.
+//!    with matched flags, free-vertex flags) as dense item ids. After
+//!    the phase, node `v` knows its distance-`2ℓ` ball — enough to see
+//!    every augmenting path through `v` *and* every path conflicting
+//!    with one of those. Messages are charged their items' encoded
+//!    size, exactly the `O(|V|+|E|)`-bit messages Theorem 3.1 allows.
 //! 2. **Conflict-graph MIS (Step 5, emulated).** The paper runs Luby's
 //!    MIS on the conflict graph `C_M(ℓ)`, each conflict-graph round
 //!    costing `O(ℓ)` routing rounds in `G` (Lemma 3.3). We execute the
@@ -29,81 +29,95 @@ use dgraph::augmenting::{enumerate_augmenting_paths, is_maximal_disjoint};
 use dgraph::{Graph, Matching, NodeId};
 use simnet::rng::streams;
 use simnet::{BitSize, Ctx, ExecCfg, Inbox, NetStats, Network, Protocol, SplitMix64};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// One knowledge item of the flooded view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ViewItem {
-    /// An edge and whether it is currently matched.
-    Edge(NodeId, NodeId, bool),
-    /// A vertex known to be free.
-    Free(NodeId),
-}
-
-impl BitSize for ViewItem {
-    fn bit_size(&self) -> u64 {
-        match self {
-            ViewItem::Edge(..) => 1 + 32 + 32 + 1,
-            ViewItem::Free(_) => 1 + 32,
-        }
+/// Bits charged for one flooded item: 66 for an edge (tag, two endpoint
+/// ids, matched flag), whose ids lie below `free_base` = `m`, and 33 for
+/// a free flag (tag, id).
+fn item_bits(id: u32, free_base: u32) -> u64 {
+    if id < free_base {
+        66
+    } else {
+        33
     }
 }
 
-/// A delta message: the items learned in the previous round, shared via
-/// `Arc` so that sending to all neighbors does not copy the payload.
+/// Set bit `id` of `seen`; true if it was clear.
+fn mark(seen: &mut [u64], id: u32) -> bool {
+    let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+    let fresh = seen[word] & bit == 0;
+    seen[word] |= bit;
+    fresh
+}
+
+/// A delta message: the dense ids of the items learned in the previous
+/// round, shared via `Arc` so that sending to all neighbors does not
+/// copy the payload, and its bit size, summed once per send.
 #[derive(Debug, Clone)]
-pub struct DeltaMsg(pub Arc<Vec<ViewItem>>);
+struct DeltaMsg {
+    items: Arc<[u32]>,
+    bits: u64,
+}
 
 impl BitSize for DeltaMsg {
     fn bit_size(&self) -> u64 {
-        64 + self.0.iter().map(BitSize::bit_size).sum::<u64>()
+        self.bits
     }
 }
 
 /// Ball-gathering protocol node (Algorithm 2).
 struct GatherNode {
-    // Ordered set: the first-round flood serializes the whole view
-    // into a message, so its iteration order must not depend on hash
-    // state.
-    view: BTreeSet<ViewItem>,
+    /// Bitset over the dense item ids this node knows: edge `e` is id
+    /// `e`, the free flag of `v` is id `m + v` (the graph is simple and
+    /// the matching is fixed while gathering, so an edge id names its
+    /// `(endpoints, matched)` item). Empty for a node outside the
+    /// repair region of an incremental run: it takes no part at all and
+    /// halts in round 0, so with the sparse scheduler a repair's
+    /// gathering rounds cost O(|ball|), not O(n). (Its view is never
+    /// consulted — every augmenting path, and every view the phase
+    /// inspects, lives inside the region by [`phase_step`]'s region
+    /// precondition.)
+    seen: Vec<u64>,
+    /// Own items (incident edges, free flag), flooded in round 0.
+    own: Vec<u32>,
+    /// `m`, the first free-flag id.
+    free_base: u32,
     rounds: u64,
-    /// Non-participants (outside the repair region of an incremental
-    /// run) take no part at all: they halt in round 0, so with the
-    /// sparse scheduler a repair's gathering rounds cost O(|ball|),
-    /// not O(n). (Their merged views are never consulted — every
-    /// augmenting path, and every view the phase inspects, lives
-    /// inside the region by [`phase_step`]'s region precondition.)
-    participating: bool,
 }
 
 impl Protocol for GatherNode {
     type Msg = DeltaMsg;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, DeltaMsg>, inbox: Inbox<'_, DeltaMsg>) {
-        if !self.participating {
+        if self.seen.is_empty() {
             ctx.halt();
             return;
         }
         // Merge what arrived, keeping only genuinely new items.
-        let mut learned: Vec<ViewItem> = Vec::new();
+        let mut learned: Vec<u32> = Vec::new();
         for env in inbox.iter() {
-            for &item in env.msg.0.iter() {
-                if self.view.insert(item) {
-                    learned.push(item);
+            for &id in env.msg.items.iter() {
+                if mark(&mut self.seen, id) {
+                    learned.push(id);
                 }
             }
         }
         let r = ctx.round();
         if r + 1 < self.rounds {
+            // Round 0 floods the node's own items, later rounds the delta.
             let outgoing = if r == 0 {
-                // First round: flood the initial local knowledge.
-                self.view.iter().copied().collect::<Vec<_>>()
+                std::mem::take(&mut self.own)
             } else {
-                std::mem::take(&mut learned)
+                learned
             };
             if !outgoing.is_empty() {
-                ctx.send_all(DeltaMsg(Arc::new(outgoing)));
+                let bits = outgoing
+                    .iter()
+                    .fold(64, |b, &id| b + item_bits(id, self.free_base));
+                ctx.send_all(DeltaMsg {
+                    items: outgoing.into(),
+                    bits,
+                });
             }
         } else {
             ctx.halt();
@@ -111,12 +125,12 @@ impl Protocol for GatherNode {
     }
 }
 
-/// Run the ball-gathering phase: after it, node `v`'s view contains all
-/// edges/free-flags whose origin is within distance `radius`.
-/// Optionally restricted to a *region*: when `region[v]` is false, node
-/// `v` never sends (its knowledge stays local and does not propagate).
-/// Incremental repair uses this to keep gathering traffic inside the
-/// damage neighborhood.
+/// Run the ball-gathering phase: after it, node `v`'s seen-bitset
+/// (see [`GatherNode::seen`]) holds every edge/free-flag whose origin
+/// is within distance `radius`. Optionally restricted to a *region*:
+/// when `region[v]` is false, node `v` never sends and its bitset is
+/// empty. Incremental repair uses this to keep gathering traffic
+/// inside the damage neighborhood.
 pub(crate) fn gather_balls_region(
     g: &Graph,
     m: &Matching,
@@ -124,22 +138,28 @@ pub(crate) fn gather_balls_region(
     seed: u64,
     cfg: ExecCfg,
     region: Option<&[bool]>,
-) -> (Vec<BTreeSet<ViewItem>>, NetStats) {
+) -> (Vec<Vec<u64>>, NetStats) {
     let rounds = radius as u64 + 1;
+    let free_base = g.m() as u32;
+    let words = (g.m() + g.n()).div_ceil(64);
     let nodes: Vec<GatherNode> = (0..g.n() as NodeId)
         .map(|v| {
-            let mut view = BTreeSet::new();
-            for &(_, e) in g.incident(v) {
-                let (a, b) = g.endpoints(e);
-                view.insert(ViewItem::Edge(a, b, m.contains(g, e)));
-            }
-            if m.is_free(v) {
-                view.insert(ViewItem::Free(v));
+            let (mut seen, mut own) = (Vec::new(), Vec::new());
+            if region.is_none_or(|r| r[v as usize]) {
+                seen = vec![0; words];
+                own = g.incident(v).iter().map(|&(_, e)| e).collect();
+                if m.is_free(v) {
+                    own.push(free_base + v);
+                }
+                for &id in &own {
+                    mark(&mut seen, id);
+                }
             }
             GatherNode {
-                view,
+                seen,
+                own,
+                free_base,
                 rounds,
-                participating: region.is_none_or(|r| r[v as usize]),
             }
         })
         .collect();
@@ -153,7 +173,7 @@ pub(crate) fn gather_balls_region(
         net.run_until_halt(rounds + 2);
     }
     let (nodes, stats) = net.into_parts();
-    (nodes.into_iter().map(|n| n.view).collect(), stats)
+    (nodes.into_iter().map(|n| n.seen).collect(), stats)
 }
 
 /// Result of the central Luby emulation on the conflict graph.
@@ -308,41 +328,13 @@ pub struct PhaseLog {
 
 /// Sort + dedupe a damage list. Callers hand us raw endpoint dumps
 /// (`RewirePatch` explicitly allows duplicates), and a hub that lost
-/// ten edges would otherwise seed the BFS ten times and inflate every
-/// `damage`-derived gauge (`center_edges`, woken counts) by its
-/// multiplicity.
+/// ten edges would otherwise inflate every `damage`-derived gauge
+/// (`center_edges`, woken counts) by its multiplicity.
 pub(crate) fn normalize_damage(damage: &[NodeId]) -> Vec<NodeId> {
     let mut d = damage.to_vec();
     d.sort_unstable();
     d.dedup();
     d
-}
-
-/// `region[v]` = v is within `radius` hops of a seed. The session
-/// driver ([`crate::session::Session::resume_after_rewire`]) restricts
-/// repair gathering to the ball `B(damage, 4k+2)` built here.
-pub(crate) fn ball(g: &Graph, seeds: &[NodeId], radius: usize) -> Vec<bool> {
-    let mut dist = vec![usize::MAX; g.n()];
-    let mut queue = std::collections::VecDeque::new();
-    for &s in seeds {
-        if dist[s as usize] == usize::MAX {
-            dist[s as usize] = 0;
-            queue.push_back(s);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v as usize];
-        if d == radius {
-            continue;
-        }
-        for &(u, _) in g.incident(v) {
-            if dist[u as usize] == usize::MAX {
-                dist[u as usize] = d + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    dist.into_iter().map(|d| d != usize::MAX).collect()
 }
 
 /// One phase of Algorithm 1 (`ℓ = 2·phase_idx + 1`): ball gathering,
@@ -378,14 +370,14 @@ pub(crate) fn phase_step(
     let ell = 2 * phase_idx + 1;
     let id_bits = simnet::id_bits(g.n());
     // Step 4 (Algorithm 2): gather distance-2ℓ balls, real messages.
-    let (views, gstats) =
+    let (seen, gstats) =
         gather_balls_region(g, m, 2 * ell, seed.wrapping_add(ell as u64), cfg, region);
     stats.absorb(&gstats);
 
-    // Enumerate the conflict-graph nodes. (Each node could do this
-    // from its view — the tests verify that every path and its
-    // conflicts are visible in the gathered balls — but we run the
-    // enumeration once globally for speed.)
+    // Enumerate the conflict-graph nodes. Each node could do this from
+    // its gathered ball — the view-completeness `debug_assert` below
+    // checks that every path is visible to each of its vertices — but
+    // the enumeration runs once, globally over `g`.
     let paths = enumerate_augmenting_paths(g, m, ell);
     if let Some(region) = region {
         // Incremental runs: every augmenting path must live inside
@@ -414,9 +406,8 @@ pub(crate) fn phase_step(
         cfg.faults.is_active()
             || paths.iter().all(|p| p.iter().all(|&v| {
                 p.windows(2).all(|w| {
-                    let e = g.edge_between(w[0], w[1]).unwrap();
-                    let (a, b) = g.endpoints(e);
-                    views[v as usize].contains(&ViewItem::Edge(a, b, m.contains(g, e)))
+                    let e = g.edge_between(w[0], w[1]).unwrap() as usize;
+                    seen[v as usize][e / 64] >> (e % 64) & 1 == 1
                 })
             })),
         "phase {ell}: some node cannot see a path through it in its gathered ball"

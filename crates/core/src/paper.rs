@@ -11,7 +11,7 @@
 //! | 1 | `M ← ∅` | `Matching::new(g.n())` |
 //! | 2 | `k ← ⌈1/ε⌉` | caller picks `k` |
 //! | 3 | `for ℓ ← 1,3,…,2k-1` | the session's phase loop, one `generic::phase_step` per `ℓ` |
-//! | 4 | construct `C_M(ℓ)` | `dgraph::augmenting::enumerate_augmenting_paths` over the gathered views |
+//! | 4 | construct `C_M(ℓ)` | `dgraph::augmenting::enumerate_augmenting_paths`, run once globally over `g`; in debug builds `phase_step` asserts every path is visible in each of its vertices' gathered balls |
 //! | 5 | MIS of `C_M(ℓ)` | `conflict_graph_mis` (Luby process, charged per Lemma 3.3) |
 //! | 6–7 | `M ← M ⊕ P` | `Matching::augment_path` per chosen path |
 //!
@@ -19,8 +19,8 @@
 //!
 //! | Step | Paper | Code |
 //! |---|---|---|
-//! | 1 | send distance-(i-1) neighborhood each round | `GatherNode::on_round` (delta flooding, `Arc`-shared payloads) |
-//! | 2 | `P_v(ℓ)`, `P_v(2ℓ)` | implicit in the enumeration over views |
+//! | 1 | send distance-(i-1) neighborhood each round | `GatherNode::on_round`: floods only the dense item ids (edge `e` → `e`, `Free(v)` → `m+v`) first learned last round, `Arc`-shared, deduplicated against one seen-bitset per node |
+//! | 2 | `P_v(ℓ)`, `P_v(2ℓ)` | implicit in the global enumeration (line 4 of Algorithm 1) |
 //! | 3 | `leader(P)` = smaller-id endpoint | canonical path direction in the enumerator |
 //! | 4 | leaders announce paths | charged in the MIS token accounting |
 //!

@@ -947,11 +947,11 @@ impl Session {
                     *next = *k;
                 } else {
                     // Normalize before anything derived from the damage
-                    // set: a duplicated hub must not seed the BFS (or
-                    // the `center_edges` gauge) once per incident edge.
+                    // set: a duplicated hub must not count in the
+                    // `center_edges` gauge once per incident edge.
                     let damage = generic::normalize_damage(&patch.damage);
                     let radius = 4 * *k + 2;
-                    let ball = generic::ball(&self.g, &damage, radius);
+                    let ball = dgraph::subgraph::SubgraphView::ball(&self.g, &damage, radius);
                     if dobs::plane::enabled() {
                         // The LCA-style locality probe: how big a region
                         // did this damage set force the repair to read?
@@ -959,10 +959,11 @@ impl Session {
                             t_ns: dobs::plane::now_ns(),
                             center_edges: damage.len() as u64,
                             radius: radius as u64,
-                            ball: ball.iter().filter(|&&b| b).count() as u64,
+                            ball: ball.len() as u64,
                         });
                     }
-                    *region = Some(ball);
+                    let in_ball = (0..self.g.n() as NodeId).map(|v| ball.contains(v));
+                    *region = Some(in_ball.collect());
                     *next = 0;
                 }
             }

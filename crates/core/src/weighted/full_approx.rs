@@ -67,7 +67,7 @@ pub fn run(g: &Graph, k: usize, delta: f64, seed: u64) -> FullApproxRun {
         // The Algorithm-2 ball gathering that makes every augmentation
         // (and its conflicts) locally visible — executed with real
         // messages, exactly like Theorem 3.1's phases.
-        let (_views, gstats) = crate::generic::gather_balls_region(
+        let (_, gstats) = crate::generic::gather_balls_region(
             g,
             &m,
             2 * ell,

@@ -102,6 +102,29 @@ fn churn_engine_at_scale() {
 
 #[test]
 #[ignore = "large"]
+fn generic_k2_at_four_thousand_nodes() {
+    use distributed_matching::dgraph::augmenting::has_augmenting_path_within;
+    // Phase ℓ=3 gathers B(v, 6) — the whole giant component on this
+    // expander — at every node.
+    let n = 1 << 12;
+    let g = gnp(n, 8.0 / n as f64, 3);
+    let r = Session::on(&g)
+        .algorithm(Algorithm::Generic { k: 2 })
+        .seed(4)
+        .build()
+        .run_to_completion();
+    assert!(r.matching.validate(&g).is_ok());
+    let opt = distributed_matching::dgraph::blossom::max_matching(&g).size();
+    assert!(
+        3 * r.matching.size() >= 2 * opt,
+        "{} < 2/3 of {opt}",
+        r.matching.size()
+    );
+    assert!(!has_augmenting_path_within(&g, &r.matching, 3));
+}
+
+#[test]
+#[ignore = "large"]
 fn weighted_reduction_at_four_thousand_nodes() {
     use distributed_matching::dgraph::generators::weights::{apply_weights, WeightModel};
     let n = 4096;
