@@ -4,7 +4,8 @@
 //! and compared pairwise. Every path is classified:
 //!
 //! - **perf** — wall-clock and derived-from-wall-clock quantities
-//!   (`*_ns`, `*_ms`, `*speedup*`, `*latency*`, …). Only comparable
+//!   (`*_ns`, `*_ms`, `*speedup*`, `*latency*`, …; a unit suffix on
+//!   any segment, as in `timings.merge_ns.p50`). Only comparable
 //!   when both records carry the *same host fingerprint* (the `host`
 //!   object the harness embeds); across differing hosts the diff
 //!   reports the ratios but refuses to call any of them a regression.
@@ -87,7 +88,8 @@ pub struct DiffReport {
     pub regressions: usize,
 }
 
-/// Classify a flattened path by its final key segment.
+/// Classify a flattened path by its segments' time-unit suffixes and
+/// its final key segment.
 pub fn classify(path: &str) -> Class {
     let key = path.rsplit('.').next().unwrap_or(path).to_ascii_lowercase();
     let full = path.to_ascii_lowercase();
@@ -105,11 +107,10 @@ pub fn classify(path: &str) -> Class {
     {
         return Class::Meta;
     }
-    // Wall-clock and derived-from-wall-clock quantities.
-    if key.ends_with("_ns")
-        || key.ends_with("_ms")
-        || key.ends_with("_us")
-        || key.ends_with("_s")
+    // Wall clock: a unit suffix on any segment, or a wall-clock word.
+    if full
+        .split('.')
+        .any(|seg| ["_ns", "_ms", "_us", "_s"].iter().any(|u| seg.ends_with(u)))
         || key.contains("time")
         || key.contains("latency")
         || key.contains("speedup")
@@ -292,6 +293,12 @@ mod tests {
         assert_eq!(classify("rows.0.sparse_ms"), Class::Perf);
         assert_eq!(classify("repair.update_ns"), Class::Perf);
         assert_eq!(classify("par_speedup"), Class::Perf);
+        // Unit-suffixed parents: every value below them is wall clock.
+        assert_eq!(classify("phase_breakdown_ns.sparse_update"), Class::Perf);
+        for stat in ["p50", "sum", "max"] {
+            assert_eq!(classify(&format!("timings.merge_ns.{stat}")), Class::Perf);
+        }
+        assert_eq!(classify("rows.0.messages"), Class::Counter);
         assert_eq!(classify("rounds"), Class::Counter);
         assert_eq!(classify("messages"), Class::Counter);
         assert_eq!(classify("host.available_parallelism"), Class::Meta);
@@ -384,6 +391,47 @@ mod tests {
         let r = rep.deltas.iter().find(|d| d.path == "rounds").unwrap();
         assert!(r.regressed);
         assert_eq!(rep.regressions, 1);
+    }
+
+    #[test]
+    fn nested_wall_clock_values_gate_only_on_one_host() {
+        // The E19 shape: wall-clock values under unit-suffixed parents.
+        let record = |host: &str, scale: f64| {
+            let ns = |v: f64| v * scale;
+            parse(&format!(
+                r#"{{"host": {host}, "rounds": 100,
+                    "phase_breakdown_ns": {{"sparse_update": {}, "merge": {}}},
+                    "timings": {{"merge_ns": {{"p50": {}, "sum": {}, "max": {}}}}}}}"#,
+                ns(40.0),
+                ns(7.0),
+                ns(900.0),
+                ns(5e6),
+                ns(3e4)
+            ))
+            .unwrap()
+        };
+        // Another host, every timing doubled: reported, never gated.
+        let rep = diff(
+            &record(HOST_A, 1.0),
+            &record(HOST_B, 2.0),
+            &DiffCfg::default(),
+        );
+        assert_eq!(rep.regressions, 0);
+        assert!(rep.perf_refused);
+        let timed = |d: &&Delta| !d.path.starts_with("host.") && d.path != "rounds";
+        assert_eq!(rep.deltas.iter().filter(timed).count(), 5);
+        assert!(rep
+            .deltas
+            .iter()
+            .filter(timed)
+            .all(|d| d.class == Class::Perf && !d.regressed));
+        // The same host: the same doubling gates, as perf.
+        let rep = diff(
+            &record(HOST_A, 1.0),
+            &record(HOST_A, 2.0),
+            &DiffCfg::default(),
+        );
+        assert_eq!(rep.regressions, 5);
     }
 
     #[test]
